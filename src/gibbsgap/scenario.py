@@ -411,10 +411,10 @@ def _run_op(scn: Scenario, check: Check, lam: float) -> dict[str, Any]:
         xi = x_index()
         iters = p.get("iters", 800)
         seed = p.get("seed", 0)
-        if not isinstance(iters, int) or iters < 1:
+        if type(iters) is not int or iters < 1:  # bool is an int subclass
             raise ScenarioError(f"iters must be a positive integer, got {iters!r}")
-        if not isinstance(seed, int):
-            raise ScenarioError(f"seed must be an integer, got {seed!r}")
+        if type(seed) is not int or seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
         opt = variational_oracle(scn.cost, scn.reference, lam, xi, iters=iters, seed=seed)
         free_energy = -log_partition(scn.cost, scn.reference, xi, -lam) / lam
         objective = expectation(scn.cost.row(xi), opt) + kl(opt, scn.reference) / lam

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
+from gibbsgap.gibbs import _logsumexp
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
@@ -66,6 +70,84 @@ def test_log_partition_does_not_overflow():
     q = counting_measure(PTS)
     assert log_partition(h, q, 0, -800.0) == pytest.approx(0.0, abs=1e-12)
     assert math.isfinite(log_partition(h, q, 0, 800.0))
+
+
+def test_package_import_pulls_in_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gibbsgap, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp
+
+
+def _lse_reference(a, b=None):
+    """``log fsum(b * exp(a))``, shifted by the largest weighted exponent."""
+    b = [1.0] * len(a) if b is None else b
+    live = [(x, w) for x, w in zip(a, b) if w != 0]
+    if not live or all(x == -math.inf for x, _ in live):
+        return -math.inf
+    m = max(x for x, _ in live)
+    return m + math.log(math.fsum(w * math.exp(x - m) for x, w in live))
+
+
+def _lse(a, b=None, axis=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _logsumexp(a, b=b, axis=axis)
+
+
+def test_logsumexp_ignores_zero_weights_next_to_huge_exponents():
+    a = [math.inf, 1e300, 0.0, 1.0]
+    b = [0.0, 0.0, 2.0, 3.0]
+    assert float(_lse(a, b)) == pytest.approx(
+        math.log(math.fsum([2.0, 3.0 * math.exp(1.0)])), rel=1e-15
+    )
+
+
+def test_logsumexp_of_an_all_minus_inf_slice_is_minus_inf():
+    assert float(_lse([-math.inf, -math.inf])) == -math.inf
+    assert float(_lse([5.0, 7.0], [0.0, 0.0])) == -math.inf
+    rows = np.array([[-math.inf, -math.inf], [0.0, math.log(3.0)]])
+    out = _lse(rows, axis=1)
+    assert out[0] == -math.inf
+    assert out[1] == pytest.approx(math.log(4.0), rel=1e-15)
+
+
+def test_logsumexp_row_wise_matches_reference():
+    rng = np.random.default_rng(31)
+    a = rng.uniform(-30.0, 30.0, size=(5, 9))
+    b = rng.uniform(0.0, 2.0, size=(5, 9))
+    b[1, :4] = 0.0
+    for weights in (None, b):
+        out = _lse(a, weights, axis=1)
+        assert out.shape == (5,)
+        for k in range(5):
+            row_b = None if weights is None else list(weights[k])
+            assert out[k] == pytest.approx(_lse_reference(list(a[k]), row_b), rel=1e-14)
+
+
+def test_logsumexp_handles_exponents_near_1e3_without_overflow():
+    for a in ([1000.0, 999.5, -1000.0], [-1000.0, -1001.0, -999.0], [1e3, -1e3]):
+        out = float(_lse(a))
+        assert math.isfinite(out)
+        assert out == pytest.approx(_lse_reference(a), rel=1e-15)
+
+
+def test_logsumexp_with_positive_weights_matches_reference():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        a = rng.uniform(-50.0, 50.0, size=n)
+        b = rng.uniform(1e-3, 5.0, size=n)
+        assert float(_lse(a, b)) == pytest.approx(
+            _lse_reference(list(a), list(b)), rel=1e-14, abs=1e-14
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +311,25 @@ def test_oracle_agreement_random_instances():
         assert value == pytest.approx(
             expectation(h.row(0), g) + kl(g, q) / lam, abs=1e-8
         )
+
+
+@pytest.mark.parametrize("lam", [800.0, -800.0])
+def test_oracle_certifies_the_two_point_instance_at_extreme_tilts(lam):
+    q = counting_measure(PTS)
+    opt = variational_oracle(H01, q, lam, 0)
+    g = gibbs_tilt(H01, q, lam, 0).measure
+    assert 0.5 * np.abs(opt.weights - g.weights).sum() <= 1e-5
+
+
+@pytest.mark.parametrize("lam", [800.0, -800.0])
+def test_oracle_objective_at_extreme_tilts_on_64_points(lam):
+    rng = np.random.default_rng(53)
+    pts = y_points(64)
+    h = rand_cost(rng, 1, pts)
+    q = rand_reference(rng, pts, probability=True)
+    opt = variational_oracle(h, q, lam, 0)
+    value = expectation(h.row(0), opt) + kl(opt, q) / lam
+    assert abs(value - gibbs_tilt(h, q, lam, 0).free_energy) <= 1e-10
 
 
 def test_oracle_flags_non_convergence_honestly():

@@ -151,6 +151,17 @@ def test_runtime_dimension_error_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": True}, {"iters": True}])
+def test_bad_oracle_seed_or_iters_exits_2_with_one_line(tmp_path, bad):
+    doc = json.loads(TWO_POINT.read_text())
+    doc["pairs"] = [{"op": "variational_oracle", "x_index": 0, **bad}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _cli("verify", path)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # parsing details
 
