@@ -133,8 +133,15 @@ class CostTable:
         return self.x_points.shape[0]
 
     def row(self, x_index: int) -> np.ndarray:
-        """Cost vector at conditioning point ``x_index``."""
-        return self.values[int(x_index)]
+        """Cost vector at conditioning point ``x_index``.
+
+        Raises :class:`IndexMismatch` unless ``x_index`` is an integer in
+        ``[0, n_x)``: NumPy integers are accepted, bools are not.
+        """
+        is_int = isinstance(x_index, (int, np.integer)) and not isinstance(x_index, bool)
+        if not (is_int and 0 <= x_index < self.n_x):
+            raise IndexMismatch(f"x_index {x_index!r} is not an integer in [0, {self.n_x})")
+        return self.values[x_index]
 
     def matches(self, p: Measure) -> bool:
         """True when ``p`` lives on this table's Y-representation."""

@@ -120,6 +120,8 @@ class FiniteMeasure:
                 f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
                 f"for {support.shape[0]} support points"
             )
+        if not np.all(np.isfinite(support)):
+            raise NonFiniteValue("support points must be finite")
         if not np.all(np.isfinite(weights)):
             raise NonFiniteValue("weights must be finite")
         if np.any(weights < 0):
@@ -243,13 +245,6 @@ def density_values(p: Measure) -> np.ndarray:
     return p.values
 
 
-def _rebuild_like(template: Measure, atoms: np.ndarray) -> Measure:
-    """New measure in ``template``'s representation with the given atom masses."""
-    if isinstance(template, FiniteMeasure):
-        return make_finite_measure(template.support, atoms)
-    return make_grid_density(template.lo, template.hi, atoms / template.cell_width)
-
-
 def total_mass(p: Measure) -> float:
     """Total mass ``P(Y)``, by compensated summation."""
     return math.fsum(atom_masses(p))
@@ -267,29 +262,22 @@ def make_finite_measure(
     """Build a :class:`FiniteMeasure`, optionally rescaled to mass one.
 
     The probability flag is set automatically when the (possibly rescaled)
-    weights sum to one within ``1e-12``.
+    weights sum to one within ``1e-12``.  Only a strictly positive mass is
+    rescaled; any other input reaches :class:`FiniteMeasure` unchanged, so
+    that its validation names the fault.
 
     Raises
     ------
-    EmptySupport, NegativeWeight, DuplicatePoint, ZeroMass
+    EmptySupport, NonFiniteValue, NegativeWeight, DuplicatePoint, ZeroMass
         on invalid input data.
     """
-    support = _as_points(points)
     w = np.asarray(weights, dtype=float)
-    if support.shape[0] == 0:
-        raise EmptySupport("a finite measure needs at least one support point")
-    if w.ndim != 1 or w.shape[0] != support.shape[0]:
-        raise ValueError(f"{w.size} weights for {support.shape[0]} support points")
-    if np.any(w < 0):
-        raise NegativeWeight(f"negative weight at index {int(np.argmin(w))}")
-    mass = math.fsum(w)
-    if not mass > 0.0:
-        raise ZeroMass("total mass must be strictly positive")
-    if normalize:
+    mass = math.fsum(w.ravel())
+    if normalize and mass > 0.0:
         w = w / mass
-        mass = math.fsum(w)
+        mass = math.fsum(w.ravel())
     return FiniteMeasure(
-        support=support,
+        support=points,
         weights=w,
         is_probability=abs(mass - 1.0) <= PROB_TOL_FINITE,
     )
@@ -306,21 +294,15 @@ def make_grid_density(
     The probability flag is set automatically when the integral is one
     within ``1e-9``; pass ``normalize=True`` when the raw values only
     integrate to one approximately (e.g. a truncated continuous density).
+    As in :func:`make_finite_measure`, only a strictly positive integral is
+    rescaled and :class:`GridDensity` validates the result.
     """
-    if not float(lo) < float(hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise EmptySupport("a grid density needs a non-empty 1-D value array")
-    if np.any(v < 0):
-        raise NegativeWeight(f"negative density at cell {int(np.argmin(v))}")
-    width = (float(hi) - float(lo)) / v.shape[0]
-    integral = math.fsum(v) * width
-    if not integral > 0.0:
-        raise ZeroMass("total mass must be strictly positive")
-    if normalize:
+    width = (float(hi) - float(lo)) / max(v.size, 1)
+    integral = math.fsum(v.ravel()) * width
+    if normalize and integral > 0.0:
         v = v / integral
-        integral = math.fsum(v) * width
+        integral = math.fsum(v.ravel()) * width
     return GridDensity(
         lo=float(lo),
         hi=float(hi),

@@ -28,13 +28,14 @@ table, discrepancy, tolerance and status.  All numbers are serialized with
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,18 +54,14 @@ from .gibbs import (
     CostTable,
     free_energy_identities,
     gibbs_tilt,
-    log_partition,
     variational_oracle,
 )
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
-    GridDensity,
     Measure,
     atom_masses,
-    counting_measure,
     expectation,
-    lebesgue_grid,
     make_finite_measure,
     make_grid_density,
 )
@@ -87,22 +84,13 @@ SCHEMA_VERSION = 1
 DEFAULT_TOL_FINITE = 1e-10
 DEFAULT_TOL_GRID = 1e-6
 
-_IDENTITY_TAGS = {
-    "gap_closed_form": "gap-common-reference",
-    "gap_closed_form_relative": "gap-relative-reference",
-    "gap_mixture_reference": "gap-mixture-reference",
-    "expected_gap_closed_form": "expected-gap-common-reference",
-    "expected_gap_relative": "expected-gap-relative-reference",
-    "marginal_gap": "marginal-gap-information",
-    "gibbs_marginal_gap": "gibbs-marginal-gap",
-    "free_energy_identities": "free-energy",
-    "variational_oracle": "variational-optimum",
-}
-
-
 @dataclass(frozen=True)
 class Check:
-    """One identity check: an operation name plus its scenario arguments."""
+    """One identity check: an op name, its validated parameters and its label.
+
+    ``params`` holds every parameter of the op, defaults included; a family
+    parameter holds the :class:`ConditionalFamily` it names.
+    """
 
     op: str
     params: dict[str, Any]
@@ -198,39 +186,21 @@ def _build_scenario(doc: dict) -> Scenario:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario needs a non-empty string 'name'")
-
-    has_support = "y_support" in doc
-    has_grid = "y_grid" in doc
-    if has_support == has_grid:
+    if ("y_support" in doc) == ("y_grid" in doc):
         raise ScenarioError("exactly one of 'y_support' / 'y_grid' must be present")
+    for key in ("x_points", "cost", "reference"):
+        if key not in doc:
+            raise ScenarioError(f"scenario needs '{key}'")
+    x_points = _points(doc["x_points"], "x_points")
+    cost_rows = _num_matrix(doc["cost"], "cost")
 
-    x_points = _points(doc["x_points"], "x_points") if "x_points" in doc else None
-    if x_points is None:
-        raise ScenarioError("scenario needs 'x_points'")
-    cost_rows = _num_matrix(doc["cost"], "cost") if "cost" in doc else None
-    if cost_rows is None:
-        raise ScenarioError("scenario needs 'cost'")
-
-    if has_support:
+    is_grid = "y_grid" in doc
+    if not is_grid:
         y_support = _points(doc["y_support"], "y_support")
         n_y = len(y_support)
+        unit = "weights for {} support points"
         cost = CostTable.on_support(x_points, y_support, cost_rows)
-
-        def member(row, where):
-            if len(row) != n_y:
-                raise ScenarioError(f"{where}: {len(row)} weights for {n_y} support points")
-            return make_finite_measure(y_support, row, normalize=True)
-
-        def reference_from(raw):
-            if raw == "counting":
-                return counting_measure(y_support)
-            if raw == "lebesgue":
-                raise ScenarioError("'lebesgue' reference requires a 'y_grid' scenario")
-            vals = _num_list(raw, "reference")
-            if len(vals) != n_y:
-                raise ScenarioError(f"reference: {len(vals)} weights for {n_y} support points")
-            return make_finite_measure(y_support, vals)
-
+        build = functools.partial(make_finite_measure, y_support)
     else:
         g = doc["y_grid"]
         if not isinstance(g, dict):
@@ -238,28 +208,26 @@ def _build_scenario(doc: dict) -> Scenario:
         lo = _num(g.get("lo"), "y_grid.lo")
         hi = _num(g.get("hi"), "y_grid.hi")
         n_y = g.get("n_cells")
+        unit = "values for {} cells"
         if not isinstance(n_y, int) or n_y < 1:
             raise ScenarioError("y_grid.n_cells must be a positive integer")
         cost = CostTable.on_grid(x_points, lo, hi, n_y, cost_rows)
+        build = functools.partial(make_grid_density, lo, hi)
 
-        def member(row, where):
-            if len(row) != n_y:
-                raise ScenarioError(f"{where}: {len(row)} values for {n_y} cells")
-            return make_grid_density(lo, hi, row, normalize=True)
+    def measure(raw, where: str, normalize: bool) -> Measure:
+        vals = _num_list(raw, where)
+        if len(vals) != n_y:
+            raise ScenarioError(f"{where}: {len(vals)} {unit.format(n_y)}")
+        return build(vals, normalize=normalize)
 
-        def reference_from(raw):
-            if raw == "lebesgue":
-                return lebesgue_grid(lo, hi, n_y)
-            if raw == "counting":
-                raise ScenarioError("'counting' reference requires a 'y_support' scenario")
-            vals = _num_list(raw, "reference")
-            if len(vals) != n_y:
-                raise ScenarioError(f"reference: {len(vals)} values for {n_y} cells")
-            return make_grid_density(lo, hi, vals)
-
-    if "reference" not in doc:
-        raise ScenarioError("scenario needs 'reference'")
-    reference = reference_from(doc["reference"])
+    # "counting" on a support and "lebesgue" on a grid: unit mass per atom
+    raw_ref = doc["reference"]
+    if raw_ref == ("lebesgue" if is_grid else "counting"):
+        reference = build(np.ones(n_y))
+    elif raw_ref in ("counting", "lebesgue"):
+        raise ScenarioError(f"a {raw_ref!r} reference does not fit this Y-representation")
+    else:
+        reference = measure(raw_ref, "reference", normalize=False)
 
     lambdas = tuple(_num_list(doc.get("lambdas"), "lambdas"))
     for i, lam in enumerate(lambdas):
@@ -276,20 +244,18 @@ def _build_scenario(doc: dict) -> Scenario:
         raise ScenarioError("'families' must be an object of name -> rows")
     families: dict[str, ConditionalFamily] = {}
     for fam_name, rows in families_doc.items():
-        rows = _num_matrix(rows, f"families.{fam_name}")
-        if len(rows) != len(x_points):
-            raise ScenarioError(
-                f"families.{fam_name}: {len(rows)} rows for {len(x_points)} x points"
-            )
-        members = tuple(
-            member(row, f"families.{fam_name}[{k}]") for k, row in enumerate(rows)
-        )
+        where = f"families.{fam_name}"
+        if not isinstance(rows, list) or len(rows) != len(x_points):
+            raise ScenarioError(f"{where}: expected one row for each of {len(x_points)} x points")
+        members = tuple(measure(row, f"{where}[{k}]", normalize=True) for k, row in enumerate(rows))
         families[fam_name] = ConditionalFamily(x_points=x_points, members=members)
 
     checks_doc = doc.get("pairs")
     if not isinstance(checks_doc, list) or not checks_doc:
         raise ScenarioError("scenario needs a non-empty 'pairs' list of checks")
-    checks = tuple(_parse_check(c, i, families) for i, c in enumerate(checks_doc))
+    checks = tuple(
+        _parse_check(c, i, len(x_points), families) for i, c in enumerate(checks_doc)
+    )
 
     return Scenario(
         name=name,
@@ -299,30 +265,168 @@ def _build_scenario(doc: dict) -> Scenario:
         p_x=p_x,
         families=families,
         checks=checks,
-        is_grid=not has_support,
+        is_grid=is_grid,
     )
 
 
-_CHECK_KEYS = {
-    "op", "name", "tolerance", "expect",
-    "x_index", "p1", "p2", "direction", "alpha",
-    "family", "family1", "family2", "iters", "seed",
+# ---------------------------------------------------------------------------
+# the op table: each op's identity tag, parameters and runner, declared once.
+# Parameters are validated against ``_PARAMS`` at load time, so a runner
+# raises only the library's errors, and those are check outcomes.
+
+#: Largest oracle ``iters`` a check may ask for.  The oracle halves its
+#: distance to the optimum on every step and certifies within tens of steps;
+#: the cap bounds the time a check that cannot certify spends failing.
+MAX_ORACLE_ITERS = 10_000
+
+
+def _int_in(v, where: str, lo: int, hi: float = math.inf) -> int:
+    if type(v) is not int or not lo <= v <= hi:  # bool is an int subclass
+        raise ScenarioError(f"{where} must be an integer in [{lo}, {hi}], got {v!r}")
+    return v
+
+
+def _one_of(v, where: str, choices) -> str:
+    if not isinstance(v, str) or v not in choices:
+        raise ScenarioError(f"{where} must be one of {list(choices)}, got {v!r}")
+    return v
+
+
+class _Param(NamedTuple):
+    parse: Callable[[Any, str, int, dict], Any]  # (value, where, n_x, families)
+    default: Any = None  # None: the parameter is required
+    in_label: bool = True
+
+
+_family = _Param(lambda v, where, n_x, fams: fams[_one_of(v, where, fams)])
+_PARAMS = {
+    "x_index": _Param(lambda v, where, n_x, fams: _int_in(v, where, 0, n_x - 1), 0),
+    "p1": _family,
+    "p2": _family,
+    "family": _family,
+    "family1": _family,
+    "family2": _family,
+    "direction": _Param(lambda v, where, n_x, fams: _one_of(v, where, ("P2-ref", "P1-ref")),
+                        "P2-ref"),
+    "alpha": _Param(lambda v, where, n_x, fams: _num(v, where), 0.5),
+    "iters": _Param(lambda v, where, n_x, fams: _int_in(v, where, 1, MAX_ORACLE_ITERS), 800,
+                    in_label=False),
+    "seed": _Param(lambda v, where, n_x, fams: _int_in(v, where, 0), 0, in_label=False),
 }
 
 
-def _parse_check(c, index: int, families: dict) -> Check:
+def _fields(dec) -> dict[str, Any]:
+    """Record fields of a :class:`~gibbsgap.gaps.GapDecomposition`."""
+    return {
+        "direct": dec.direct,
+        "closed_form": dec.closed_form,
+        "discrepancy": dec.discrepancy,
+        "terms": dict(dec.terms),
+    }
+
+
+def _pair(p: dict) -> tuple[int, Measure, Measure]:
+    """``(x_index, P1, P2)``: the two named members at the check's point."""
+    xi = p["x_index"]
+    return xi, p["p1"][xi], p["p2"][xi]
+
+
+def _free_energy(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
+    xi = p["x_index"]
+    g = gibbs_tilt(scn.cost, scn.reference, lam, xi)
+    split = free_energy_identities(g, scn.cost, scn.reference, xi)
+    terms = {"via_gibbs": split.via_gibbs, "log_partition": g.log_partition}
+    if split.via_reference is not None:
+        terms["via_reference"] = split.via_reference
+    return {
+        "direct": split.free_energy,
+        "closed_form": split.via_gibbs,
+        "discrepancy": split.max_discrepancy,
+        "terms": terms,
+        "note": "reference side skipped (non-probability reference)"
+        if split.reference_skipped else None,
+    }
+
+
+def _oracle(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
+    xi = p["x_index"]
+    opt = variational_oracle(scn.cost, scn.reference, lam, xi, iters=p["iters"], seed=p["seed"])
+    objective = expectation(scn.cost.row(xi), opt) + kl(opt, scn.reference) / lam
+    g = gibbs_tilt(scn.cost, scn.reference, lam, xi)
+    tv = 0.5 * float(np.abs(atom_masses(opt) - atom_masses(g.measure)).sum())
+    return {
+        "direct": objective,
+        "closed_form": g.free_energy,
+        "discrepancy": abs(objective - g.free_energy),
+        "terms": {"objective": objective, "total_variation": tv},
+    }
+
+
+class _Op(NamedTuple):
+    tag: str
+    params: tuple[str, ...]
+    run: Callable[[Scenario, dict, float], dict[str, Any]]
+
+
+_OPS = {
+    "gap_closed_form": _Op(
+        "gap-common-reference", ("x_index", "p1", "p2"),
+        lambda scn, p, lam: _fields(gap_closed_form(scn.cost, *_pair(p), scn.reference, lam)),
+    ),
+    "gap_closed_form_relative": _Op(
+        "gap-relative-reference", ("x_index", "p1", "p2", "direction"),
+        lambda scn, p, lam: _fields(
+            gap_closed_form_relative(scn.cost, *_pair(p), p["direction"], lam)),
+    ),
+    "gap_mixture_reference": _Op(
+        "gap-mixture-reference", ("x_index", "p1", "p2", "alpha"),
+        lambda scn, p, lam: _fields(gap_mixture_reference(scn.cost, *_pair(p), p["alpha"], lam)),
+    ),
+    "expected_gap_closed_form": _Op(
+        "expected-gap-common-reference", ("family1", "family2"),
+        lambda scn, p, lam: _fields(expected_gap_closed_form(
+            scn.cost, p["family1"], p["family2"], scn.p_x, scn.reference, lam)),
+    ),
+    "expected_gap_relative": _Op(
+        "expected-gap-relative-reference", ("family1", "family2", "direction"),
+        lambda scn, p, lam: _fields(expected_gap_relative(
+            scn.cost, p["family1"], p["family2"], scn.p_x, p["direction"], lam)),
+    ),
+    "marginal_gap": _Op(
+        "marginal-gap-information", ("family",),
+        lambda scn, p, lam: _fields(
+            marginal_gap(scn.cost, p["family"], scn.p_x, scn.reference, lam)),
+    ),
+    "gibbs_marginal_gap": _Op(
+        "gibbs-marginal-gap", (),
+        lambda scn, p, lam: _fields(gibbs_marginal_gap(scn.cost, scn.reference, lam, scn.p_x)),
+    ),
+    "free_energy_identities": _Op("free-energy", ("x_index",), _free_energy),
+    "variational_oracle": _Op("variational-optimum", ("x_index", "iters", "seed"), _oracle),
+}
+
+
+def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
+    """Validate one check against its op's parameters; fill defaults and label."""
     where = f"pairs[{index}]"
     if not isinstance(c, dict):
         raise ScenarioError(f"{where}: each check must be an object")
-    op = c.get("op")
-    if op not in _IDENTITY_TAGS:
-        raise ScenarioError(f"{where}: unknown op {op!r}")
-    unknown = set(c) - _CHECK_KEYS
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in ("p1", "p2", "family", "family1", "family2"):
-        if key in c and c[key] not in families:
-            raise ScenarioError(f"{where}: unknown family {c[key]!r} in '{key}'")
+    op_name = c.get("op")
+    op = _OPS.get(op_name) if isinstance(op_name, str) else None
+    if op is None:
+        raise ScenarioError(f"{where}: unknown op {op_name!r}")
+    foreign = [k for k in c if k not in ("op", "name", "tolerance", "expect", *op.params)]
+    if foreign:
+        raise ScenarioError(f"{where}: keys {foreign} do not apply to op {op_name!r}")
+    params = {}
+    for key in op.params:
+        spec = _PARAMS[key]
+        if key in c:
+            params[key] = spec.parse(c[key], f"{where}.{key}", n_x, families)
+        elif spec.default is None:
+            raise ScenarioError(f"{where}: op {op_name!r} needs '{key}'")
+        else:
+            params[key] = spec.default
     expect = None
     if "expect" in c:
         raw = c["expect"]
@@ -334,117 +438,17 @@ def _parse_check(c, index: int, families: dict) -> Check:
         tolerance = _num(c["tolerance"], f"{where}.tolerance")
         if not tolerance > 0:
             raise ScenarioError(f"{where}: tolerance must be positive")
-    params = {k: c[k] for k in c if k not in ("op", "name", "tolerance", "expect")}
     label = c.get("name")
     if label is not None and not isinstance(label, str):
         raise ScenarioError(f"{where}: 'name' must be a string")
-    return Check(op=op, params=params, tolerance=tolerance, expect_error=expect, label=label)
+    if not label:  # the op and the parameters the file gives, as written
+        shown = [f"{k}={v}" for k, v in c.items() if k in op.params and _PARAMS[k].in_label]
+        label = f"{op_name}({', '.join(shown)})" if shown else op_name
+    return Check(op=op_name, params=params, tolerance=tolerance, expect_error=expect, label=label)
 
 
 # ---------------------------------------------------------------------------
 # running
-
-
-def _member_at(scn: Scenario, fam: str, x_index: int) -> Measure:
-    return scn.families[fam][x_index]
-
-
-def _run_op(scn: Scenario, check: Check, lam: float) -> dict[str, Any]:
-    """Execute one op; return direct/closed_form/discrepancy/terms."""
-    p = check.params
-    op = check.op
-
-    def x_index() -> int:
-        xi = p.get("x_index", 0)
-        if not isinstance(xi, int) or not (0 <= xi < scn.cost.n_x):
-            raise ScenarioError(f"x_index {xi!r} out of range for {scn.cost.n_x} points")
-        return xi
-
-    if op == "gap_closed_form":
-        dec = gap_closed_form(
-            scn.cost, x_index(),
-            _member_at(scn, p["p1"], x_index()), _member_at(scn, p["p2"], x_index()),
-            scn.reference, lam,
-        )
-    elif op == "gap_closed_form_relative":
-        dec = gap_closed_form_relative(
-            scn.cost, x_index(),
-            _member_at(scn, p["p1"], x_index()), _member_at(scn, p["p2"], x_index()),
-            p.get("direction", "P2-ref"), lam,
-        )
-    elif op == "gap_mixture_reference":
-        dec = gap_mixture_reference(
-            scn.cost, x_index(),
-            _member_at(scn, p["p1"], x_index()), _member_at(scn, p["p2"], x_index()),
-            _num(p.get("alpha", 0.5), "alpha"), lam,
-        )
-    elif op == "expected_gap_closed_form":
-        dec = expected_gap_closed_form(
-            scn.cost, scn.families[p["family1"]], scn.families[p["family2"]],
-            scn.p_x, scn.reference, lam,
-        )
-    elif op == "expected_gap_relative":
-        dec = expected_gap_relative(
-            scn.cost, scn.families[p["family1"]], scn.families[p["family2"]],
-            scn.p_x, p.get("direction", "P2-ref"), lam,
-        )
-    elif op == "marginal_gap":
-        dec = marginal_gap(scn.cost, scn.families[p["family"]], scn.p_x, scn.reference, lam)
-    elif op == "gibbs_marginal_gap":
-        dec = gibbs_marginal_gap(scn.cost, scn.reference, lam, scn.p_x)
-    elif op == "free_energy_identities":
-        xi = x_index()
-        g = gibbs_tilt(scn.cost, scn.reference, lam, xi)
-        split = free_energy_identities(g, scn.cost, scn.reference, xi)
-        terms = {"via_gibbs": split.via_gibbs, "log_partition": g.log_partition}
-        if split.via_reference is not None:
-            terms["via_reference"] = split.via_reference
-        return {
-            "direct": split.free_energy,
-            "closed_form": split.via_gibbs,
-            "discrepancy": split.max_discrepancy,
-            "terms": terms,
-            "note": "reference side skipped (non-probability reference)"
-            if split.reference_skipped else None,
-        }
-    elif op == "variational_oracle":
-        xi = x_index()
-        iters = p.get("iters", 800)
-        seed = p.get("seed", 0)
-        if type(iters) is not int or iters < 1:  # bool is an int subclass
-            raise ScenarioError(f"iters must be a positive integer, got {iters!r}")
-        if type(seed) is not int or seed < 0:
-            raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
-        opt = variational_oracle(scn.cost, scn.reference, lam, xi, iters=iters, seed=seed)
-        free_energy = -log_partition(scn.cost, scn.reference, xi, -lam) / lam
-        objective = expectation(scn.cost.row(xi), opt) + kl(opt, scn.reference) / lam
-        g = gibbs_tilt(scn.cost, scn.reference, lam, xi).measure
-        tv = 0.5 * float(np.abs(atom_masses(opt) - atom_masses(g)).sum())
-        return {
-            "direct": objective,
-            "closed_form": free_energy,
-            "discrepancy": abs(objective - free_energy),
-            "terms": {"objective": objective, "total_variation": tv},
-            "note": None,
-        }
-    else:  # unreachable: op validated at load time
-        raise ScenarioError(f"unknown op {op!r}")
-
-    return {
-        "direct": dec.direct,
-        "closed_form": dec.closed_form,
-        "discrepancy": dec.discrepancy,
-        "terms": dict(dec.terms),
-        "note": None,
-    }
-
-
-def _default_label(check: Check) -> str:
-    parts = [
-        f"{k}={v}" for k, v in check.params.items()
-        if k in ("x_index", "p1", "p2", "direction", "alpha", "family", "family1", "family2")
-    ]
-    return f"{check.op}({', '.join(parts)})" if parts else check.op
 
 
 def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, Any]:
@@ -457,11 +461,11 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
             tolerance if tolerance is not None else
             (DEFAULT_TOL_GRID if scn.is_grid else DEFAULT_TOL_FINITE)
         )
-        label = check.label or _default_label(check)
+        op = _OPS[check.op]
         for lam in scn.lambdas:
             rec: dict[str, Any] = {
-                "check": label,
-                "identity": _IDENTITY_TAGS[check.op],
+                "check": check.label,
+                "identity": op.tag,
                 "lambda": lam,
                 "tolerance": tol,
                 "direct": None,
@@ -472,32 +476,21 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
                 "note": None,
             }
             try:
-                out = _run_op(scn, check, lam)
-            except ScenarioError:
-                raise  # bad check arguments are input errors, not check outcomes
+                rec.update(op.run(scn, check.params, lam))
             except GibbsGapError as e:
-                err_name = type(e).__name__
-                rec["error"] = err_name
+                rec["error"] = type(e).__name__
                 rec["note"] = str(e)
-                if check.expect_error is not None:
-                    if err_name == check.expect_error:
-                        rec["status"] = "expected-error"
-                    else:
-                        rec["status"] = "fail"
-                        rec["note"] = (
-                            f"expected {check.expect_error}, got {err_name}: {e}"
-                        )
-                else:
-                    rec["status"] = "unexpected-error"
+            expect, error = check.expect_error, rec["error"]
+            if expect is None and error is None:
+                rec["status"] = "pass" if rec["discrepancy"] <= tol else "fail"
+            elif expect is None:
+                rec["status"] = "unexpected-error"
+            elif error == expect:
+                rec["status"] = "expected-error"
             else:
-                rec.update(out)
-                if check.expect_error is not None:
-                    rec["status"] = "fail"
-                    rec["note"] = f"expected {check.expect_error}, but no error was raised"
-                elif rec["discrepancy"] <= tol:
-                    rec["status"] = "pass"
-                else:
-                    rec["status"] = "fail"
+                rec["status"] = "fail"
+                rec["note"] = (f"expected {expect}, got {error}: {rec['note']}" if error
+                               else f"expected {expect}, but no error was raised")
             if rec["status"] in ("pass", "expected-error"):
                 n_pass += 1
             records.append(rec)

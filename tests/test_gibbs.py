@@ -8,12 +8,14 @@ import pytest
 
 from gibbsgap import (
     CostTable,
+    IndexMismatch,
     InfiniteLogPartition,
     NonConvergence,
     RepresentationMismatch,
     counting_measure,
     expectation,
     free_energy_identities,
+    gap_direct,
     gibbs_tilt,
     kl,
     lebesgue_grid,
@@ -28,6 +30,36 @@ from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
 H01 = CostTable.on_support([[0.0]], PTS, [[0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# the x_index contract
+
+
+H2 = CostTable.on_support([[0.0], [1.0]], PTS, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 5, True, False, 1.0, 1.5, np.float64(0.0), "0", None])
+def test_cost_row_rejects_non_integer_and_out_of_range_indices(bad):
+    q = counting_measure(PTS)
+    p = make_finite_measure(PTS, (0.5, 0.5))
+    with pytest.raises(IndexMismatch):
+        H2.row(bad)
+    with pytest.raises(IndexMismatch):
+        gibbs_tilt(H2, q, 1.0, bad)
+    with pytest.raises(IndexMismatch):
+        log_partition(H2, q, bad, 1.0)
+    with pytest.raises(IndexMismatch):
+        gap_direct(H2, bad, p, p)
+    with pytest.raises(IndexMismatch):
+        variational_oracle(H2, q, 1.0, bad)
+
+
+@pytest.mark.parametrize("good", [0, 1, np.int64(1), np.int32(0), np.uint8(1)])
+def test_cost_row_accepts_python_and_numpy_integers(good):
+    assert H2.row(good).tolist() == H2.values[int(good)].tolist()
+    g = gibbs_tilt(H2, counting_measure(PTS), 1.0, good)
+    assert g.measure.is_probability
 
 
 # ---------------------------------------------------------------------------

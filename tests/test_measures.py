@@ -66,6 +66,38 @@ def test_construction_errors():
         make_finite_measure([[1.0], [1.0]], (0.5, 0.5))
 
 
+def test_each_fault_is_named_once_by_the_measure_itself():
+    nan = float("nan")
+    with pytest.raises(NonFiniteValue):
+        make_finite_measure(PTS, (nan, 1.0))
+    with pytest.raises(NonFiniteValue):
+        make_finite_measure(PTS, (nan, 1.0), normalize=True)
+    with pytest.raises(NonFiniteValue):
+        make_finite_measure([[nan], [1.0]], (0.5, 0.5))
+    with pytest.raises(NonFiniteValue):
+        make_grid_density(0.0, 1.0, (nan, 1.0))
+    # a 2-D value array is the same error from the helper and the class
+    with pytest.raises(ValueError):
+        make_grid_density(0.0, 1.0, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        GridDensity(0.0, 1.0, np.ones((2, 2)))
+
+
+def test_normalize_leaves_invalid_mass_for_validation_to_name():
+    with pytest.raises(ZeroMass):
+        make_finite_measure(PTS, (0.0, 0.0), normalize=True)
+    with pytest.raises(NegativeWeight):
+        make_finite_measure(PTS, (-1.0, -1.0), normalize=True)
+    with pytest.raises(NegativeWeight):
+        make_finite_measure(PTS, (1.0, -0.5), normalize=True)
+    with pytest.raises(ZeroMass):
+        make_grid_density(0.0, 1.0, (0.0, 0.0), normalize=True)
+    with pytest.raises(NegativeWeight):
+        make_grid_density(0.0, 1.0, (-1.0, -1.0), normalize=True)
+    with pytest.raises(EmptySupport):
+        make_grid_density(0.0, 1.0, [], normalize=True)
+
+
 def test_zero_weight_points_are_allowed():
     p = make_finite_measure(PTS, (1.0, 0.0))
     assert p.is_probability

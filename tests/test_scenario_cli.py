@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from gibbsgap import (
     run_scenario_file,
 )
 from gibbsgap.cli import main
+from gibbsgap.scenario import MAX_ORACLE_ITERS
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_POINT = REPO / "scenarios" / "two_point.json"
@@ -129,6 +131,19 @@ def test_missing_file_exits_2(tmp_path):
         lambda d: d.update(y_grid={"lo": 0.0, "hi": 1.0, "n_cells": 2}),  # both reps
         lambda d: d.update(reference=[1.0, 2.0, 3.0]),  # wrong length
         lambda d: d.update(p_x=[1.0, 1.0]),  # wrong length
+        lambda d: d["pairs"].append({"op": "gap_closed_form", "p2": "point1"}),  # no p1
+        lambda d: d["pairs"].append({"op": "gap_closed_form", "p1": "point0"}),  # no p2
+        lambda d: d["pairs"].append({"op": "marginal_gap"}),  # no family
+        lambda d: d["pairs"].append({"op": "expected_gap_closed_form", "family2": "even"}),
+        lambda d: d["pairs"].append(
+            {"op": "expected_gap_relative", "family1": "point0", "family2": "even",
+             "direction": "sideways"}),
+        lambda d: d["pairs"].append(
+            {"op": "gap_closed_form", "x_index": -1, "p1": "point0", "p2": "point1"}),
+        lambda d: d["pairs"].append(
+            {"op": "gap_closed_form", "x_index": 1.5, "p1": "point0", "p2": "point1"}),
+        lambda d: d["pairs"].append({"op": "marginal_gap", "family": "even", "alpha": 0.5}),
+        lambda d: d["pairs"].append({"op": "gibbs_marginal_gap", "x_index": 0}),
     ],
 )
 def test_schema_violations_raise_scenario_error(tmp_path, mutate):
@@ -139,7 +154,7 @@ def test_schema_violations_raise_scenario_error(tmp_path, mutate):
     with pytest.raises(ScenarioError):
         load_scenario(path)
     code, _, err = _cli("verify", path)
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_runtime_dimension_error_exits_2(tmp_path):
@@ -151,7 +166,11 @@ def test_runtime_dimension_error_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": True}, {"iters": True}])
+@pytest.mark.parametrize(
+    "bad",
+    [{"seed": -1}, {"seed": True}, {"iters": True}, {"iters": 0},
+     {"iters": MAX_ORACLE_ITERS + 1}],
+)
 def test_bad_oracle_seed_or_iters_exits_2_with_one_line(tmp_path, bad):
     doc = json.loads(TWO_POINT.read_text())
     doc["pairs"] = [{"op": "variational_oracle", "x_index": 0, **bad}]
@@ -160,6 +179,51 @@ def test_bad_oracle_seed_or_iters_exits_2_with_one_line(tmp_path, bad):
     code, _, err = _cli("verify", path)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x_index", [True, 2])
+def test_x_index_is_checked_against_the_number_of_x_points(tmp_path, capsys, x_index):
+    # designed_violation has two x points, so a bool x_index would name row 1
+    doc = json.loads(VIOLATION.read_text())
+    doc["pairs"] = [{"op": "gap_closed_form", "x_index": x_index, "p1": "full", "p2": "partial"}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_default_labels_list_the_given_parameters_in_file_order(tmp_path):
+    doc = json.loads(TWO_POINT.read_text())
+    doc["pairs"] = [
+        {"op": "gap_mixture_reference", "p2": "point1", "alpha": "0.25", "p1": "point0"},
+        {"op": "variational_oracle", "seed": 3, "x_index": 0, "iters": 50},
+        {"op": "gibbs_marginal_gap", "name": ""},
+        {"op": "marginal_gap", "family": "even", "name": "named"},
+    ]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    report, code = run_scenario_file(path)
+    assert code == 0
+    assert [r["check"] for r in report["records"]] == [
+        "gap_mixture_reference(p2=point1, alpha=0.25, p1=point0)",
+        "variational_oracle(x_index=0)",
+        "gibbs_marginal_gap",
+        "named",
+    ]
+
+
+def test_readme_scenario_example_loads_and_passes(tmp_path, capsys):
+    readme = (REPO / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    block = section[section.index("```jsonc") + len("```jsonc"):]
+    block = block[:block.index("```")]
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"//[^\n]*", "", block))
+    scn = load_scenario(path)
+    assert len(scn.checks) >= 2
+    assert main(["verify", str(path)]) == 0
+    assert "summary: 2/2 passed" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
