@@ -3,9 +3,11 @@
 All quantities are in nats.  The divergence of a probability measure P from
 a reference Q in the same representation is
 
-    kl(P, Q) = sum_i  P_i * log(P_i / Q_i)
+    kl(P, Q) = sum_i  P_i * (log p_i - log q_i)
 
-over the atoms, with ``0 * log(0/q) := 0`` and ``p * log(p/0) := +inf``.  Q
+over the atoms, where ``log p_i`` and ``log q_i`` are the log atoms of the
+two measures, with ``0 * log(0/q) := 0`` and ``p * log(p/0) := +inf``; an
+atom is null only when its log atom is ``-inf``.  Q
 may be any sigma-finite measure, not just a probability; against a
 non-probability reference the value can be negative, which is a feature:
 ``shannon_entropy(P) == -kl(P, counting measure on supp P)`` holds exactly.
@@ -62,12 +64,20 @@ def kl(p: Measure, q: Measure) -> float:
     require_same_representation(p, q)
     if not p.is_probability:
         raise NonProbabilityMeasure("kl(p, q) requires p to be a probability")
-    pa = atom_masses(p)
-    qa = atom_masses(q)
-    live = pa > 0
-    if np.any(qa[live] == 0):
+    lp, lq = p.log_density, q.log_density
+    live = lp > -math.inf
+    if np.any(lq[live] == -math.inf):
         return math.inf
-    return math.fsum(pa[live] * np.log(pa[live] / qa[live]))
+    return math.fsum(atom_masses(p)[live] * (lp[live] - lq[live]))
+
+
+def _entropy(p: Measure) -> float:
+    """``-sum_i m_i log d_i`` over atom masses ``m`` and log atoms ``log d``."""
+    if not p.is_probability:
+        raise NonProbabilityMeasure("entropy requires a probability measure")
+    ld = p.log_density
+    live = ld > -math.inf
+    return -math.fsum(atom_masses(p)[live] * ld[live])
 
 
 def shannon_entropy(p: FiniteMeasure) -> float:
@@ -75,24 +85,15 @@ def shannon_entropy(p: FiniteMeasure) -> float:
 
     Equal, exactly, to ``-kl(p, counting_measure(p.support))``.
     """
-    if not p.is_probability:
-        raise NonProbabilityMeasure("entropy requires a probability measure")
-    w = p.weights[p.weights > 0]
-    return -math.fsum(w * np.log(w))
+    return _entropy(p)
 
 
 def differential_entropy(p: GridDensity) -> float:
-    """Midpoint-rule differential entropy ``-sum_i v_i log(v_i) * width``."""
-    if not p.is_probability:
-        raise NonProbabilityMeasure("entropy requires a probability measure")
-    v = p.values[p.values > 0]
-    return -math.fsum(v * np.log(v)) * p.cell_width
+    """Midpoint-rule differential entropy ``-sum_i v_i log(v_i) * width``.
 
-
-def _entropy(p: Measure) -> float:
-    if isinstance(p, GridDensity):
-        return differential_entropy(p)
-    return shannon_entropy(p)
+    Equal, exactly, to ``-kl(p, lebesgue_grid(p.lo, p.hi, p.n_cells))``.
+    """
+    return _entropy(p)
 
 
 def conditional_entropy(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     IndexMismatch,
     InfiniteDivergence,
@@ -252,7 +250,7 @@ def _aligned_pair(
 ) -> None:
     require_aligned(p_x, cond1)
     require_aligned(p_x, cond2)
-    if not np.array_equal(h.x_points, cond1.x_points):
+    if h.x_points != cond1.x_points:
         raise IndexMismatch(
             "the cost table's conditioning points must equal the families'"
         )
@@ -374,7 +372,12 @@ def _cross_terms(
     p_y: Measure,
     p_x: FiniteMeasure,
 ) -> tuple[float, float]:
-    """Product-law and joint-law integrals of ``log(d cond / d gibbs)``."""
+    """Product-law and joint-law integrals of ``log(d cond / d gibbs)``.
+
+    Every member carrying X-mass must be mutually absolutely continuous with
+    ``p_y`` and dominated by its Gibbs member, so that ``log m - log g`` is
+    finite on the member's atoms and both integrals run over those atoms.
+    """
     w = p_x.weights
     py_atoms = atom_masses(p_y)
     t_marginal: list[float] = []
@@ -382,16 +385,11 @@ def _cross_terms(
     for k in range(cond.n_x):
         if w[k] == 0:
             continue
-        m_atoms = atom_masses(cond[k])
-        g_atoms = atom_masses(gibbs_members[k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log(
-                np.divide(m_atoms, g_atoms, out=np.ones_like(m_atoms), where=g_atoms > 0)
-            )
-        live_m = py_atoms > 0
-        t_marginal.append(w[k] * math.fsum(py_atoms[live_m] * log_ratio[live_m]))
-        live_j = m_atoms > 0
-        t_joint.append(w[k] * math.fsum(m_atoms[live_j] * log_ratio[live_j]))
+        log_m = cond[k].log_density
+        live = log_m > -math.inf
+        log_ratio = log_m[live] - gibbs_members[k].log_density[live]
+        t_marginal.append(w[k] * math.fsum(py_atoms[live] * log_ratio))
+        t_joint.append(w[k] * math.fsum(atom_masses(cond[k])[live] * log_ratio))
     return math.fsum(t_marginal), math.fsum(t_joint)
 
 
@@ -416,7 +414,7 @@ def marginal_gap(
     """
     lam = _require_lambda(lam)
     require_aligned(p_x, cond)
-    if not np.array_equal(h.x_points, cond.x_points):
+    if h.x_points != cond.x_points:
         raise IndexMismatch("the cost table's conditioning points must equal the family's")
     w = p_x.weights
     live = [k for k in range(cond.n_x) if w[k] > 0]
@@ -470,7 +468,7 @@ def gibbs_marginal_gap(
     are still computed and stored so the collapse is auditable.
     """
     lam = _require_lambda(lam)
-    if not np.array_equal(h.x_points, p_x.support):
+    if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     members = tuple(gibbs_tilt(h, q, lam, k).measure for k in range(h.n_x))
     cond = ConditionalFamily(x_points=h.x_points, members=members)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,15 +40,14 @@ from .errors import (
 )
 from .measures import (
     FiniteMeasure,
-    GridDensity,
+    GridSupport,
     Measure,
-    _as_points,
+    PointSupport,
+    _derived,
     _freeze,
-    atom_masses,
+    _logsumexp,
+    _point_support,
     expectation,
-    make_finite_measure,
-    make_grid_density,
-    same_representation,
 )
 from .divergences import kl
 
@@ -78,59 +77,49 @@ def _require_lambda(lam: float) -> float:
 class CostTable:
     """A bounded cost ``h(x, y)`` on finitely many conditioning points.
 
-    ``values[k]`` is the cost vector at conditioning point ``x_points[k]``,
-    aligned with the Y-representation: one entry per support point (finite
-    case) or per cell midpoint (grid case).  All entries must be finite.
+    ``values[k]`` is the cost vector at point ``k`` of ``x_points``, aligned
+    with the atoms of ``y_support``: one entry per support point or per grid
+    cell.  All entries must be finite.  Point data given for ``x_points`` or
+    ``y_support`` are validated into a :class:`PointSupport`.
 
     Construct with :meth:`on_support` or :meth:`on_grid`.
     """
 
-    x_points: np.ndarray
+    x_points: PointSupport
     values: np.ndarray
-    y_support: Optional[np.ndarray] = None
-    y_grid: Optional[tuple[float, float, int]] = None
+    y_support: Union[PointSupport, GridSupport]
 
     def __post_init__(self) -> None:
-        x_points = _as_points(self.x_points)
+        x_points = _point_support(self.x_points)
+        y_support = self.y_support
+        if not isinstance(y_support, GridSupport):
+            y_support = _point_support(y_support)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("cost values must be a 2-D (n_x, n_y) array")
-        if values.shape[0] != x_points.shape[0]:
+        if values.shape[0] != x_points.n_atoms:
             raise IndexMismatch(
-                f"{values.shape[0]} cost rows for {x_points.shape[0]} conditioning points"
+                f"{values.shape[0]} cost rows for {x_points.n_atoms} conditioning points"
             )
+        if values.shape[1] != y_support.n_atoms:
+            raise IndexMismatch(f"{values.shape[1]} cost columns for {y_support.n_atoms} Y atoms")
         if not np.all(np.isfinite(values)):
             raise NonFiniteValue("cost entries must be finite")
-        if (self.y_support is None) == (self.y_grid is None):
-            raise ValueError("exactly one of y_support / y_grid must be set")
-        if self.y_support is not None:
-            y_support = _as_points(self.y_support)
-            if y_support.shape[0] != values.shape[1]:
-                raise IndexMismatch(
-                    f"{values.shape[1]} cost columns for {y_support.shape[0]} Y points"
-                )
-            object.__setattr__(self, "y_support", _freeze(y_support))
-        else:
-            lo, hi, n_cells = self.y_grid
-            if int(n_cells) != values.shape[1]:
-                raise IndexMismatch(
-                    f"{values.shape[1]} cost columns for {n_cells} grid cells"
-                )
-            object.__setattr__(self, "y_grid", (float(lo), float(hi), int(n_cells)))
-        object.__setattr__(self, "x_points", _freeze(x_points))
+        object.__setattr__(self, "x_points", x_points)
+        object.__setattr__(self, "y_support", y_support)
         object.__setattr__(self, "values", _freeze(values))
 
     @classmethod
     def on_support(cls, x_points, y_points, values) -> "CostTable":
-        return cls(x_points=x_points, values=values, y_support=_as_points(y_points))
+        return cls(x_points=x_points, values=values, y_support=y_points)
 
     @classmethod
     def on_grid(cls, x_points, lo: float, hi: float, n_cells: int, values) -> "CostTable":
-        return cls(x_points=x_points, values=values, y_grid=(float(lo), float(hi), int(n_cells)))
+        return cls(x_points=x_points, values=values, y_support=GridSupport(lo, hi, int(n_cells)))
 
     @property
     def n_x(self) -> int:
-        return self.x_points.shape[0]
+        return self.x_points.n_atoms
 
     def row(self, x_index: int) -> np.ndarray:
         """Cost vector at conditioning point ``x_index``.
@@ -144,32 +133,14 @@ class CostTable:
         return self.values[x_index]
 
     def matches(self, p: Measure) -> bool:
-        """True when ``p`` lives on this table's Y-representation."""
-        if isinstance(p, FiniteMeasure):
-            return self.y_support is not None and np.array_equal(self.y_support, p.support)
-        return self.y_grid == (p.lo, p.hi, p.n_cells)
+        """True when ``p`` lives on this table's Y-support."""
+        return self.y_support == p.domain
 
     def require_matches(self, p: Measure) -> None:
         if not self.matches(p):
             raise RepresentationMismatch(
                 "measure does not live on the cost table's Y-representation"
             )
-
-
-def _logsumexp(a, b=None, axis=None):
-    """Max-shifted ``log sum(b * exp(a))`` over ``axis`` (every entry when None).
-
-    Zero weights contribute nothing, however large ``a`` is there, and an
-    all-``-inf`` slice gives ``-inf``, not NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    if b is not None:
-        a = np.where(np.asarray(b) != 0, a, -math.inf)
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    terms = np.exp(a - shift) if b is None else b * np.exp(a - shift)
-    with np.errstate(divide="ignore"):  # an empty sum is a legal -inf
-        return np.squeeze(np.log(np.sum(terms, axis=axis, keepdims=True)) + shift, axis=axis)
 
 
 def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
@@ -180,9 +151,10 @@ def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
     if ``t*h`` overflows the shift, which finite inputs do not).
     """
     h.require_matches(q)
-    qa = atom_masses(q)
-    with np.errstate(over="ignore"):  # an overflowing tilt is a legal +inf
-        return float(_logsumexp(float(t) * h.row(x_index), b=qa))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
+        a = float(t) * h.row(x_index) + q.log_density
+    a[np.isnan(a)] = -math.inf  # a null atom stays null, however large t * h is there
+    return float(_logsumexp(a)) + math.log(q.domain.base_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +185,9 @@ def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResul
     """Tilt ``q`` by ``exp(-lam * h(x, .))`` and normalize.
 
     Works for probability and sigma-finite references alike and returns the
-    result in ``q``'s representation.  Computed entirely in log space, so
-    tiny reference weights cannot overflow the normalization.
+    result on ``q``'s support object.  Computed on log atoms,
+    ``log g = log q - lam * h - log_partition``, so an atom too small for a
+    float keeps its finite log.
 
     Raises
     ------
@@ -225,16 +198,8 @@ def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResul
     k_val = log_partition(h, q, x_index, -lam)
     if not math.isfinite(k_val):
         raise InfiniteLogPartition(f"log-partition value is {k_val!r}")
-    qa = atom_masses(q)
-    with np.errstate(divide="ignore"):
-        log_atoms = np.where(qa > 0, np.log(np.where(qa > 0, qa, 1.0)), -math.inf)
-    atoms = np.exp(log_atoms - lam * h.row(x_index) - k_val)
-    if isinstance(q, FiniteMeasure):
-        measure: Measure = make_finite_measure(q.support, atoms)
-    else:
-        measure = make_grid_density(q.lo, q.hi, atoms / q.cell_width)
     return GibbsResult(
-        measure=measure,
+        measure=_derived(q, q.log_density - lam * h.row(x_index) - k_val, True),
         log_partition=k_val,
         free_energy=-k_val / lam,
         lam=lam,
@@ -301,11 +266,10 @@ def free_energy_identities(
     )
 
 
-def _objective(p: np.ndarray, qa: np.ndarray, h_row: np.ndarray, lam: float) -> float:
-    """``E_P[h] + kl(P, Q)/lam`` on the atoms where Q lives."""
-    live = p > 0
-    div = math.fsum(p[live] * np.log(p[live] / qa[live]))
-    return math.fsum(p[live] * h_row[live]) + div / lam
+def _objective(log_p: np.ndarray, log_q: np.ndarray, h_row: np.ndarray, lam: float) -> float:
+    """``E_P[h] + kl(P, Q)/lam`` from log atoms on the atoms where Q lives."""
+    p = np.exp(log_p)
+    return math.fsum(p * h_row) + math.fsum(p * (log_p - log_q)) / lam
 
 
 def variational_oracle(
@@ -342,10 +306,9 @@ def variational_oracle(
     free_energy = -k_val / lam
     tol = min(1e-10, 2e-10 / abs(lam))
 
-    qa = q.weights
-    live = qa > 0
+    live = q.log_density > -math.inf
     h_live = h.row(x_index)[live]
-    log_qa = np.log(qa[live])
+    log_qa = q.log_density[live]
     log_p = log_qa - _logsumexp(log_qa)
     steps = 0
     while True:
@@ -359,12 +322,12 @@ def variational_oracle(
         log_p -= _logsumexp(log_p)
         steps += 1
 
-    full = np.zeros_like(qa)
-    full[live] = np.exp(log_p)
-    value = _objective(full, qa, h.row(x_index), lam)
+    value = _objective(log_p, log_qa, h_live, lam)
     if abs(value - free_energy) > 1e-6:
         raise NonConvergence(
             f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
             f"after {steps} iterations"
         )
-    return make_finite_measure(q.support, full)
+    log_full = np.full(live.shape, -math.inf)
+    log_full[live] = log_p
+    return _derived(q, log_full, True)

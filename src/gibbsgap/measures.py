@@ -12,25 +12,29 @@ requirement: sigma-finite reference measures (counting, Lebesgue-on-a-grid)
 are first-class citizens, which is what makes entropy a special case of a
 divergence later on.
 
+A measure lives on a support, its ``domain`` (:class:`PointSupport` or
+:class:`GridSupport`), validated once when built and shared by every
+measure derived from it.  Supports are equal when they are the same object
+or hold equal points or grids; combining measures on unequal supports
+raises :class:`~gibbsgap.errors.RepresentationMismatch`.
+
+Per-atom data are *log atoms*: ``log_density[i]`` is the log density of
+atom ``i`` against the support's base measure (counting on points,
+Lebesgue on cells), ``-inf`` on a null atom, so an atom that underflows a
+float (``exp(-800)``) still counts as mass.  The linear ``weights`` /
+``values`` are derived from them, or, for a measure built from given
+weights, kept as given.  The *atom mass* of a cell is ``value *
+cell_width``; ratios of atom masses equal ratios of densities.
+
 Every value is immutable after construction (frozen dataclasses, read-only
 arrays), so instances can be shared freely across threads.
-
-The two representations are deliberately *never* mixed inside a single
-computation; any operation combining two measures first checks that both
-live in the same representation and raises
-:class:`~gibbsgap.errors.RepresentationMismatch` otherwise.
-
-Internally every computation reduces a measure to its vector of *atom
-masses*: the weights themselves for a finite measure, ``value * cell_width``
-for a grid density.  Ratios of atom masses equal ratios of densities (the
-cell width cancels), so divergences and tiltings written on atoms are exact
-for both representations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -49,6 +53,8 @@ from .errors import (
 )
 
 __all__ = [
+    "PointSupport",
+    "GridSupport",
     "FiniteMeasure",
     "GridDensity",
     "Measure",
@@ -78,153 +84,184 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_points(points) -> np.ndarray:
-    """Coerce point data to a 2-D ``(n, m)`` float array.
+def _logsumexp(a, b=None, axis=None):
+    """Max-shifted ``log sum(b * exp(a))`` over ``axis`` (every entry when None).
 
-    A flat sequence of scalars is read as ``n`` points in ``R^1``.
+    Zero weights contribute nothing, however large ``a`` is there, and an
+    all-``-inf`` slice gives ``-inf``, not NaN.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"support points must be scalars or vectors, got ndim={arr.ndim}")
-    return arr
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        a = np.where(np.asarray(b) != 0, a, -math.inf)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    terms = np.exp(a - shift) if b is None else b * np.exp(a - shift)
+    with np.errstate(divide="ignore"):  # an empty sum is a legal -inf
+        return np.squeeze(np.log(np.sum(terms, axis=axis, keepdims=True)) + shift, axis=axis)
+
+
+# ---------------------------------------------------------------------------
+# supports
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMeasure:
-    """Nonnegative weights on pairwise distinct points of ``R^m``.
+class PointSupport:
+    """Pairwise distinct finite points of ``R^m`` (scalars are points of ``R^1``),
+    compared exactly, each of base mass 1."""
 
-    Attributes
-    ----------
-    support:
-        Read-only ``(n, m)`` array of support points.  Points are compared
-        exactly (no tolerance); duplicates are construction errors.
-    weights:
-        Read-only ``(n,)`` array of nonnegative weights with positive sum.
-    is_probability:
-        True when the weights sum to one within ``1e-12``.
-    """
+    points: np.ndarray
 
-    support: np.ndarray
-    weights: np.ndarray
-    is_probability: bool = field(default=False)
+    base_mass = 1.0
+    prob_tol = PROB_TOL_FINITE
 
     def __post_init__(self) -> None:
-        support = _as_points(self.support)
-        weights = np.asarray(self.weights, dtype=float)
-        if support.shape[0] == 0:
-            raise EmptySupport("a finite measure needs at least one support point")
-        if weights.ndim != 1 or weights.shape[0] != support.shape[0]:
-            raise ValueError(
-                f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
-                f"for {support.shape[0]} support points"
-            )
-        if not np.all(np.isfinite(support)):
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim == 1:
+            points = points.reshape(-1, 1)
+        if points.ndim != 2:
+            raise ValueError(f"support points must be scalars or vectors, got ndim={points.ndim}")
+        if points.shape[0] == 0:
+            raise EmptySupport("a support needs at least one point")
+        if not np.all(np.isfinite(points)):
             raise NonFiniteValue("support points must be finite")
-        if not np.all(np.isfinite(weights)):
-            raise NonFiniteValue("weights must be finite")
-        if np.any(weights < 0):
-            raise NegativeWeight(f"negative weight at index {int(np.argmin(weights))}")
-        seen = set(map(tuple, support))
-        if len(seen) != support.shape[0]:
+        if len(set(map(tuple, points))) != points.shape[0]:
             raise DuplicatePoint("support points must be pairwise distinct")
-        mass = math.fsum(weights)
-        if not mass > 0.0:
-            raise ZeroMass("total mass must be strictly positive")
-        if self.is_probability and abs(mass - 1.0) > PROB_TOL_FINITE:
-            raise NonProbabilityMeasure(
-                f"flagged as probability but total mass is {mass!r}"
-            )
-        object.__setattr__(self, "support", _freeze(support))
-        object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "points", _freeze(points))
 
-    @property
-    def n_points(self) -> int:
-        return self.support.shape[0]
+    n_atoms = property(lambda self: self.points.shape[0])
 
-    @property
-    def point_dim(self) -> int:
-        return self.support.shape[1]
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, PointSupport) and np.array_equal(self.points, other.points)
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class GridDensity:
-    """Piecewise-constant density on a uniform grid over ``[lo, hi)``.
-
-    ``values[i]`` is the density on cell ``i``; the cell midpoints are
-    ``lo + (i + 1/2) * cell_width``.  Integrals use the midpoint rule:
-    ``\\int f dP = sum_i f(mid_i) * values[i] * cell_width``.
-
-    Attributes
-    ----------
-    lo, hi:
-        Interval endpoints, ``lo < hi``.
-    values:
-        Read-only ``(n_cells,)`` array of nonnegative densities with
-        strictly positive integral.
-    is_probability:
-        True when the integral is one within ``1e-9``.
-    """
+@dataclass(frozen=True)
+class GridSupport:
+    """``n_cells`` equal cells over ``[lo, hi)``, each of base mass ``cell_width``."""
 
     lo: float
     hi: float
-    values: np.ndarray
-    is_probability: bool = field(default=False)
+    n_cells: int
+
+    prob_tol = PROB_TOL_GRID
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("grid endpoints must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("grid values must be a 1-D array")
-        if values.shape[0] == 0:
-            raise EmptySupport("a grid density needs at least one cell")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteValue("density values must be finite")
-        if np.any(values < 0):
-            raise NegativeWeight(f"negative density at cell {int(np.argmin(values))}")
-        width = (self.hi - self.lo) / values.shape[0]
-        integral = math.fsum(values) * width
-        if not integral > 0.0:
-            raise ZeroMass("total mass must be strictly positive")
-        if self.is_probability and abs(integral - 1.0) > PROB_TOL_GRID:
-            raise NonProbabilityMeasure(
-                f"flagged as probability but integral is {integral!r}"
-            )
+        if not self.n_cells >= 1:
+            raise EmptySupport("a grid needs at least one cell")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "values", _freeze(values))
 
-    @property
-    def n_cells(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cell_width(self) -> float:
-        return (self.hi - self.lo) / self.n_cells
+    n_atoms = property(lambda self: self.n_cells)
+    cell_width = base_mass = property(lambda self: (self.hi - self.lo) / self.n_cells)
+    points = property(lambda self: self.midpoints.reshape(-1, 1))
 
     @property
     def midpoints(self) -> np.ndarray:
         return self.lo + (np.arange(self.n_cells) + 0.5) * self.cell_width
 
 
+def _point_support(points) -> PointSupport:
+    return points if isinstance(points, PointSupport) else PointSupport(points)
+
+
+# ---------------------------------------------------------------------------
+# measures
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class _Measure:
+    domain: Union[PointSupport, GridSupport]
+    is_probability: bool
+
+    def __init__(self, domain, is_probability: bool, *, log_density=None, density=None) -> None:
+        """The one constructor of every measure; ``domain`` is never validated again.
+
+        A given ``density`` (the caller's weights or cell values) is checked."""
+        if log_density is None:
+            density = np.asarray(density, dtype=float)
+            if density.shape != (domain.n_atoms,):
+                raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
+            if not np.all(np.isfinite(density)):
+                raise NonFiniteValue("weights must be finite")
+            if np.any(density < 0):
+                raise NegativeWeight(f"negative weight at atom {int(np.argmin(density))}")
+            mass = math.fsum(density) * domain.base_mass
+            if not mass > 0.0:
+                raise ZeroMass("total mass must be strictly positive")
+            if is_probability and abs(mass - 1.0) > domain.prob_tol:
+                raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
+            self.__dict__["_density"] = _freeze(density)
+        else:
+            self.__dict__["log_density"] = _freeze(log_density)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "is_probability", bool(is_probability))
+
+    @cached_property
+    def log_density(self) -> np.ndarray:
+        """Log atoms: the log density of each atom, ``-inf`` on null atoms."""
+        with np.errstate(divide="ignore"):
+            return _freeze(np.log(self._density))
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        return _freeze(np.exp(self.log_density))
+
+
+def _derived(like: Measure, log_density: np.ndarray, is_probability: bool) -> Measure:
+    """A measure of ``like``'s type on ``like``'s support object."""
+    m = object.__new__(type(like))
+    _Measure.__init__(m, like.domain, is_probability, log_density=log_density)
+    return m
+
+
+class FiniteMeasure(_Measure):
+    """Nonnegative weights on pairwise distinct points of ``R^m``.
+
+    Built from point data or a :class:`PointSupport` to share.  ``support``
+    is the ``(n, m)`` array of points, ``weights`` the ``(n,)`` weights with
+    positive sum; ``is_probability`` when they sum to one within ``1e-12``.
+    """
+
+    def __init__(self, support, weights, is_probability: bool = False) -> None:
+        super().__init__(_point_support(support), is_probability, density=weights)
+
+    support = property(lambda self: self.domain.points)
+    weights = property(lambda self: self._density)
+
+
+class GridDensity(_Measure):
+    """Piecewise-constant density on a uniform grid over ``[lo, hi)``.
+
+    ``values[i]`` is the density on cell ``i``; the cell midpoints are
+    ``lo + (i + 1/2) * cell_width``.  Integrals use the midpoint rule:
+    ``\\int f dP = sum_i f(mid_i) * values[i] * cell_width``; ``is_probability``
+    when the (strictly positive) integral is one within ``1e-9``.
+    """
+
+    def __init__(self, lo: float, hi: float, values, is_probability: bool = False) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("grid values must be a 1-D array")
+        super().__init__(GridSupport(lo, hi, values.shape[0]), is_probability, density=values)
+
+    lo = property(lambda self: self.domain.lo)
+    hi = property(lambda self: self.domain.hi)
+    n_cells = property(lambda self: self.domain.n_cells)
+    cell_width = property(lambda self: self.domain.cell_width)
+    midpoints = property(lambda self: self.domain.midpoints)
+    values = property(lambda self: self._density)
+
+
 Measure = Union[FiniteMeasure, GridDensity]
 
 
-def same_representation(a: Measure, b: Measure) -> bool:
-    """True when the two measures live on the same discrete structure."""
-    if isinstance(a, FiniteMeasure) and isinstance(b, FiniteMeasure):
-        return np.array_equal(a.support, b.support)
-    if isinstance(a, GridDensity) and isinstance(b, GridDensity):
-        return a.lo == b.lo and a.hi == b.hi and a.n_cells == b.n_cells
-    return False
-
-
 def require_same_representation(a: Measure, b: Measure) -> None:
-    if not same_representation(a, b):
+    if a.domain != b.domain:
         raise RepresentationMismatch(
             f"cannot combine {type(a).__name__} and {type(b).__name__} "
             "with different supports/grids in one identity"
@@ -233,16 +270,7 @@ def require_same_representation(a: Measure, b: Measure) -> None:
 
 def atom_masses(p: Measure) -> np.ndarray:
     """Vector of point masses: weights, or ``values * cell_width``."""
-    if isinstance(p, FiniteMeasure):
-        return p.weights
-    return p.values * p.cell_width
-
-
-def density_values(p: Measure) -> np.ndarray:
-    """Per-atom density relative to the representation's base measure."""
-    if isinstance(p, FiniteMeasure):
-        return p.weights
-    return p.values
+    return p._density * p.domain.base_mass
 
 
 def total_mass(p: Measure) -> float:
@@ -254,67 +282,49 @@ def total_mass(p: Measure) -> float:
 # construction helpers
 
 
-def make_finite_measure(
-    points,
-    weights: Sequence[float],
-    normalize: bool = False,
-) -> FiniteMeasure:
+def _normalized(values, base_mass: float, normalize: bool, tol: float):
+    """``(values, is_probability)``; only a positive mass is rescaled, validation names the rest."""
+    v = np.asarray(values, dtype=float)
+    mass = math.fsum(v.ravel()) * base_mass
+    if normalize and mass > 0.0:
+        v = v / mass
+        mass = math.fsum(v.ravel()) * base_mass
+    return v, abs(mass - 1.0) <= tol
+
+
+def make_finite_measure(points, weights: Sequence[float], normalize: bool = False) -> FiniteMeasure:
     """Build a :class:`FiniteMeasure`, optionally rescaled to mass one.
 
-    The probability flag is set automatically when the (possibly rescaled)
-    weights sum to one within ``1e-12``.  Only a strictly positive mass is
-    rescaled; any other input reaches :class:`FiniteMeasure` unchanged, so
-    that its validation names the fault.
+    ``points`` is point data, or a :class:`PointSupport` to share.  The
+    probability flag is set automatically when the (possibly rescaled)
+    weights sum to one within ``1e-12``.
 
     Raises
     ------
     EmptySupport, NonFiniteValue, NegativeWeight, DuplicatePoint, ZeroMass
         on invalid input data.
     """
-    w = np.asarray(weights, dtype=float)
-    mass = math.fsum(w.ravel())
-    if normalize and mass > 0.0:
-        w = w / mass
-        mass = math.fsum(w.ravel())
-    return FiniteMeasure(
-        support=points,
-        weights=w,
-        is_probability=abs(mass - 1.0) <= PROB_TOL_FINITE,
-    )
+    w, flag = _normalized(weights, 1.0, normalize, PROB_TOL_FINITE)
+    return FiniteMeasure(support=points, weights=w, is_probability=flag)
 
 
-def make_grid_density(
-    lo: float,
-    hi: float,
-    values: Sequence[float],
-    normalize: bool = False,
-) -> GridDensity:
+def make_grid_density(lo: float, hi: float, values: Sequence[float],
+                      normalize: bool = False) -> GridDensity:
     """Build a :class:`GridDensity`, optionally rescaled to integral one.
 
     The probability flag is set automatically when the integral is one
     within ``1e-9``; pass ``normalize=True`` when the raw values only
     integrate to one approximately (e.g. a truncated continuous density).
-    As in :func:`make_finite_measure`, only a strictly positive integral is
-    rescaled and :class:`GridDensity` validates the result.
     """
     v = np.asarray(values, dtype=float)
-    width = (float(hi) - float(lo)) / max(v.size, 1)
-    integral = math.fsum(v.ravel()) * width
-    if normalize and integral > 0.0:
-        v = v / integral
-        integral = math.fsum(v.ravel()) * width
-    return GridDensity(
-        lo=float(lo),
-        hi=float(hi),
-        values=v,
-        is_probability=abs(integral - 1.0) <= PROB_TOL_GRID,
-    )
+    v, flag = _normalized(v, (float(hi) - float(lo)) / max(v.size, 1), normalize, PROB_TOL_GRID)
+    return GridDensity(lo=float(lo), hi=float(hi), values=v, is_probability=flag)
 
 
 def counting_measure(points) -> FiniteMeasure:
     """Unit weight on every support point (sigma-finite reference)."""
-    support = _as_points(points)
-    return make_finite_measure(support, np.ones(support.shape[0]))
+    support = _point_support(points)
+    return make_finite_measure(support, np.ones(support.n_atoms))
 
 
 def lebesgue_grid(lo: float, hi: float, n_cells: int) -> GridDensity:
@@ -330,38 +340,36 @@ def lebesgue_grid(lo: float, hi: float, n_cells: int) -> GridDensity:
 class ConditionalFamily:
     """A probability measure over Y for each conditioning point x.
 
-    ``members[k]`` is the conditional law at ``x_points[k]``.  All members
-    must share one Y-representation and all must be probability measures.
+    ``members[k]`` is the conditional law at point ``k`` of ``x_points``
+    (point data, or a :class:`PointSupport` to share).  All members must
+    share one Y-support and all must be probability measures.
     """
 
-    x_points: np.ndarray
+    x_points: PointSupport
     members: tuple[Measure, ...]
 
     def __post_init__(self) -> None:
-        x_points = _as_points(self.x_points)
         members = tuple(self.members)
         if len(members) == 0:
             raise EmptySupport("a conditional family needs at least one member")
-        if x_points.shape[0] != len(members):
+        x_points = _point_support(self.x_points)
+        if x_points.n_atoms != len(members):
             raise IndexMismatch(
-                f"{x_points.shape[0]} conditioning points for {len(members)} members"
+                f"{x_points.n_atoms} conditioning points for {len(members)} members"
             )
-        if len(set(map(tuple, x_points))) != x_points.shape[0]:
-            raise DuplicatePoint("conditioning points must be pairwise distinct")
-        first = members[0]
         for k, m in enumerate(members):
             if not m.is_probability:
                 raise NonProbabilityMeasure(f"family member {k} is not a probability")
-            if not same_representation(first, m):
+            if m.domain != members[0].domain:
                 raise RepresentationMismatch(
                     f"family member {k} uses a different Y-representation"
                 )
-        object.__setattr__(self, "x_points", _freeze(x_points))
+        object.__setattr__(self, "x_points", x_points)
         object.__setattr__(self, "members", members)
 
     @property
     def n_x(self) -> int:
-        return self.x_points.shape[0]
+        return self.x_points.n_atoms
 
     def __getitem__(self, k: int) -> Measure:
         return self.members[k]
@@ -369,13 +377,13 @@ class ConditionalFamily:
 
 def constant_family(x_points, p: Measure) -> ConditionalFamily:
     """The family equal to ``p`` at every conditioning point."""
-    pts = _as_points(x_points)
-    return ConditionalFamily(x_points=pts, members=(p,) * pts.shape[0])
+    x_points = _point_support(x_points)
+    return ConditionalFamily(x_points=x_points, members=(p,) * x_points.n_atoms)
 
 
 def require_aligned(p_x: FiniteMeasure, cond: ConditionalFamily) -> None:
     """Check that ``p_x`` lives exactly on ``cond``'s conditioning points."""
-    if not np.array_equal(p_x.support, cond.x_points):
+    if p_x.domain != cond.x_points:
         raise IndexMismatch(
             "the X-marginal's support must equal the family's conditioning points"
         )
@@ -405,12 +413,8 @@ def expectation(f, p: Measure) -> float:
         raise NonProbabilityMeasure("expectation requires a probability measure")
     atoms = atom_masses(p)
     if callable(f):
-        if isinstance(p, GridDensity):
-            vals = np.array([float(f(float(y))) for y in p.midpoints])
-        elif p.point_dim == 1:
-            vals = np.array([float(f(float(pt[0]))) for pt in p.support])
-        else:
-            vals = np.array([float(f(pt)) for pt in p.support])
+        pts = p.domain.points
+        vals = np.array([float(f(float(pt[0]) if pts.shape[1] == 1 else pt)) for pt in pts])
     else:
         vals = np.asarray(f, dtype=float)
         if vals.shape != atoms.shape:
@@ -436,12 +440,9 @@ def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
     if not p_x.is_probability:
         raise NonProbabilityMeasure("the X-marginal must be a probability measure")
     require_aligned(p_x, cond)
-    stacked = np.stack([density_values(m) for m in cond.members])
-    mixed = p_x.weights @ stacked
-    template = cond.members[0]
-    if isinstance(template, FiniteMeasure):
-        return make_finite_measure(template.support, mixed)
-    return make_grid_density(template.lo, template.hi, mixed)
+    stacked = np.stack([m.log_density for m in cond.members])
+    mixed = _logsumexp(stacked + p_x.log_density[:, None], axis=0)
+    return _derived(cond.members[0], mixed, True)
 
 
 def mix(p: Measure, q: Measure, alpha: float) -> Measure:
@@ -450,27 +451,26 @@ def mix(p: Measure, q: Measure, alpha: float) -> Measure:
     ``alpha`` must lie strictly inside ``(0, 1)`` so that both ingredients
     keep positive mass in the mixture (which is what makes the mixture a
     valid common reference: both ``p`` and ``q`` are absolutely continuous
-    with respect to it).
+    with respect to it).  The mixture is a probability when both
+    ingredients are.
     """
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must be in (0, 1), got {alpha!r}")
     require_same_representation(p, q)
-    mixed = alpha * density_values(p) + (1.0 - alpha) * density_values(q)
-    if isinstance(p, FiniteMeasure):
-        return make_finite_measure(p.support, mixed)
-    return make_grid_density(p.lo, p.hi, mixed)
+    mixed = np.logaddexp(math.log(alpha) + p.log_density, math.log1p(-alpha) + q.log_density)
+    return _derived(p, mixed, p.is_probability and q.is_probability)
 
 
 def absolutely_continuous(p: Measure, q: Measure) -> bool:
     """``p << q``: every atom where ``p`` has mass, ``q`` has mass too.
 
-    Zero-weight support points do not count as mass.  Measures in different
-    representations are never absolutely continuous with respect to each
+    Decided on log atoms: only a ``-inf`` log atom is null.  Measures on
+    unequal supports are never absolutely continuous with respect to each
     other here (densities against different base measures are not compared).
     """
-    if not same_representation(p, q):
+    if p.domain != q.domain:
         return False
-    return bool(np.all(atom_masses(q)[atom_masses(p) > 0] > 0))
+    return bool(np.all(q.log_density[p.log_density > -math.inf] > -math.inf))
 
 
 def radon_nikodym(p: Measure, q: Measure) -> np.ndarray:
@@ -488,9 +488,8 @@ def radon_nikodym(p: Measure, q: Measure) -> np.ndarray:
     """
     if not absolutely_continuous(p, q):
         raise NotAbsolutelyContinuous("dP/dQ requires P << Q in one representation")
-    pa = atom_masses(p)
-    qa = atom_masses(q)
-    out = np.zeros_like(pa)
-    live = qa > 0
-    np.divide(pa, qa, out=out, where=live)
+    lp, lq = p.log_density, q.log_density
+    live = lq > -math.inf
+    out = np.zeros(lq.shape)
+    out[live] = np.exp(lp[live] - lq[live])
     return _freeze(out)

@@ -170,8 +170,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError(f"{path}: unsupported schema {doc.get('schema')!r} (want {SCHEMA_VERSION})")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 are not schema 1
+        raise ScenarioError(f"{path}: unsupported schema {schema!r} (want {SCHEMA_VERSION})")
     try:
         return _build_scenario(doc)
     except ScenarioError:
@@ -200,7 +201,7 @@ def _build_scenario(doc: dict) -> Scenario:
         n_y = len(y_support)
         unit = "weights for {} support points"
         cost = CostTable.on_support(x_points, y_support, cost_rows)
-        build = functools.partial(make_finite_measure, y_support)
+        build = functools.partial(make_finite_measure, cost.y_support)
     else:
         g = doc["y_grid"]
         if not isinstance(g, dict):
@@ -237,7 +238,7 @@ def _build_scenario(doc: dict) -> Scenario:
     p_x_vals = _num_list(doc.get("p_x"), "p_x")
     if len(p_x_vals) != len(x_points):
         raise ScenarioError(f"p_x: {len(p_x_vals)} weights for {len(x_points)} x points")
-    p_x = make_finite_measure(x_points, p_x_vals, normalize=True)
+    p_x = make_finite_measure(cost.x_points, p_x_vals, normalize=True)
 
     families_doc = doc.get("families", {})
     if not isinstance(families_doc, dict):
@@ -248,7 +249,7 @@ def _build_scenario(doc: dict) -> Scenario:
         if not isinstance(rows, list) or len(rows) != len(x_points):
             raise ScenarioError(f"{where}: expected one row for each of {len(x_points)} x points")
         members = tuple(measure(row, f"{where}[{k}]", normalize=True) for k, row in enumerate(rows))
-        families[fam_name] = ConditionalFamily(x_points=x_points, members=members)
+        families[fam_name] = ConditionalFamily(x_points=cost.x_points, members=members)
 
     checks_doc = doc.get("pairs")
     if not isinstance(checks_doc, list) or not checks_doc:

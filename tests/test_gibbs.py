@@ -21,7 +21,6 @@ from gibbsgap import (
     lebesgue_grid,
     log_partition,
     make_finite_measure,
-    make_grid_density,
     total_mass,
     variational_oracle,
 )
@@ -313,6 +312,22 @@ def test_free_energy_hand_value():
     assert g.free_energy == pytest.approx(want, abs=1e-14)
     split = free_energy_identities(g, H01, q, 0)
     assert split.max_discrepancy <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [800.0, -800.0])
+def test_divergence_to_an_extreme_tilt_is_finite(lam):
+    # kl(Q, G) = lam * E_Q[h] + log Z(-lam), although exp(-lam * h) underflows
+    rng = np.random.default_rng(59)
+    pts = y_points(64)
+    h = rand_cost(rng, 2, pts)
+    q = rand_reference(rng, pts, probability=True)
+    for k in range(2):
+        g = gibbs_tilt(h, q, lam, k).measure
+        assert np.any(g.weights == 0.0)
+        want = lam * expectation(h.row(k), q) + log_partition(h, q, k, -lam)
+        got = kl(q, g)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

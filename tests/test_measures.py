@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gibbsgap import (
     AlphaOutOfRange,
     ConditionalFamily,
+    CostTable,
     DuplicatePoint,
     EmptySupport,
     GridDensity,
@@ -16,12 +17,14 @@ from gibbsgap import (
     NonFiniteValue,
     NonProbabilityMeasure,
     NotAbsolutelyContinuous,
+    PointSupport,
     RepresentationMismatch,
     ZeroMass,
     absolutely_continuous,
     atom_masses,
     counting_measure,
     expectation,
+    gibbs_tilt,
     lebesgue_grid,
     make_finite_measure,
     make_grid_density,
@@ -29,6 +32,7 @@ from gibbsgap import (
     mix,
     radon_nikodym,
     total_mass,
+    variational_oracle,
 )
 
 PTS = [[0.0], [1.0]]
@@ -140,6 +144,30 @@ def test_grid_normalize():
     g = make_grid_density(0.0, 1.0, 2.0 * np.ones(8), normalize=True)
     assert g.is_probability
     assert np.allclose(g.values, 1.0)
+
+
+def test_supports_compare_by_value_and_derived_measures_share_them():
+    p = make_finite_measure(PTS, (0.6, 0.4))
+    q = make_finite_measure([[0.0], [1.0]], (0.2, 0.8))
+    assert p.domain is not q.domain and p.domain == q.domain
+    assert absolutely_continuous(p, q)
+    assert mix(p, q, 0.5).domain is p.domain
+    fam = ConditionalFamily(x_points=[[0.0], [1.0]], members=(p, q))
+    p_x = make_finite_measure([[0.0], [1.0]], (0.5, 0.5))
+    assert marginal_y(fam, p_x).domain is p.domain
+    h = CostTable.on_support([[0.0]], PTS, [[0.0, 1.0]])
+    assert gibbs_tilt(h, q, 1.0, 0).measure.domain is q.domain
+    assert variational_oracle(h, q, 1.0, 0).domain is q.domain
+    shared = PointSupport(PTS)
+    assert make_finite_measure(shared, (1.0, 1.0)).domain is shared
+    g = make_grid_density(0.0, 1.0, np.ones(2))
+    assert g.domain is not lebesgue_grid(0.0, 1.0, 2).domain
+    assert g.domain == lebesgue_grid(0.0, 1.0, 2).domain
+    assert mix(g, g, 0.5).domain is g.domain
+    r = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
+    assert p.domain != r.domain
+    with pytest.raises(RepresentationMismatch):
+        mix(p, r, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -13,7 +15,6 @@ from gibbsgap import (
     load_scenario,
     render_json,
     render_text,
-    run_scenario,
     run_scenario_file,
 )
 from gibbsgap.cli import main
@@ -24,13 +25,22 @@ TWO_POINT = REPO / "scenarios" / "two_point.json"
 VIOLATION = REPO / "scenarios" / "designed_violation.json"
 
 
-def _cli(*args):
+def _cli_subprocess(*args):
+    """The ``python -m gibbsgap.cli`` entry point in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-m", "gibbsgap.cli", *map(str, args)],
         capture_output=True,
         text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _cli(*args):
+    """``main`` in this process: ``(exit code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +78,33 @@ def test_designed_violation_passes_via_expected_errors():
     }
 
 
+def test_two_point_scenario_passes_at_extreme_tilts(tmp_path):
+    # exp(-800) underflows a Gibbs atom to 0, but its log atom stays finite
+    doc = json.loads(TWO_POINT.read_text())
+    doc["lambdas"] = [800, -800]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    report, code = run_scenario_file(path)
+    assert [r["status"] for r in report["records"]] == ["pass"] * 18, render_text(report)
+    assert code == 0
+
+
+def test_generated_ops_pass_at_extreme_tilts(tmp_path):
+    (path,) = generate_scenarios(11, nx=4, ny=64, count=1, out_dir=tmp_path)
+    doc = json.loads(path.read_text())
+    doc["lambdas"] = [800, -800]
+    path.write_text(json.dumps(doc))
+    report, code = run_scenario_file(path)
+    assert len({r["identity"] for r in report["records"]}) == 9
+    assert [r["status"] for r in report["records"]] == ["pass"] * 20, render_text(report)
+    assert code == 0
+
+
 def test_cli_exit_codes_for_bundled_scenarios():
-    code, out, _ = _cli("verify", TWO_POINT)
+    code, out, _ = _cli_subprocess("verify", TWO_POINT)
     assert code == 0
     assert "summary: 9/9 passed" in out
-    code, out, _ = _cli("verify", VIOLATION)
+    code, out, _ = _cli_subprocess("verify", VIOLATION)
     assert code == 0
 
 
@@ -144,6 +176,8 @@ def test_missing_file_exits_2(tmp_path):
             {"op": "gap_closed_form", "x_index": 1.5, "p1": "point0", "p2": "point1"}),
         lambda d: d["pairs"].append({"op": "marginal_gap", "family": "even", "alpha": 0.5}),
         lambda d: d["pairs"].append({"op": "gibbs_marginal_gap", "x_index": 0}),
+        lambda d: d.update(schema=True),  # a bool is not the integer 1
+        lambda d: d.update(schema=1.0),
     ],
 )
 def test_schema_violations_raise_scenario_error(tmp_path, mutate):
