@@ -29,6 +29,9 @@ from .measures import (
     FiniteMeasure,
     GridDensity,
     Measure,
+    _average,
+    _mean_rows,
+    _rows,
     atom_masses,
     marginal_y,
     require_aligned,
@@ -64,20 +67,26 @@ def kl(p: Measure, q: Measure) -> float:
     require_same_representation(p, q)
     if not p.is_probability:
         raise NonProbabilityMeasure("kl(p, q) requires p to be a probability")
-    lp, lq = p.log_density, q.log_density
-    live = lp > -math.inf
-    if np.any(lq[live] == -math.inf):
-        return math.inf
-    return math.fsum(atom_masses(p)[live] * (lp[live] - lq[live]))
+    return _kl_rows(atom_masses(p)[None], p.log_density[None], q.log_density[None])[0]
+
+
+def _kl_rows(mass: np.ndarray, log_p: np.ndarray, log_q) -> list[float]:
+    """The one divergence sum: the expectation of ``log p - log q`` under ``mass``, per row.
+
+    With ``mass`` the atom masses of ``p`` a row is ``kl(p, q)``, ``+inf``
+    where ``q`` is null on an atom where ``p`` is not.
+    """
+    with np.errstate(invalid="ignore"):  # -inf - -inf on atoms of neither law, never summed
+        ratio = log_p - log_q
+    escaped = (ratio == math.inf).any(axis=-1).tolist()  # p has mass where q has none
+    return [math.inf if e else s for s, e in zip(_mean_rows(ratio, mass), escaped, strict=True)]
 
 
 def _entropy(p: Measure) -> float:
-    """``-sum_i m_i log d_i`` over atom masses ``m`` and log atoms ``log d``."""
+    """``-kl(p, base measure)``: minus the sum of atom masses times log atoms."""
     if not p.is_probability:
         raise NonProbabilityMeasure("entropy requires a probability measure")
-    ld = p.log_density
-    live = ld > -math.inf
-    return -math.fsum(atom_masses(p)[live] * ld[live])
+    return -_kl_rows(atom_masses(p)[None], p.log_density[None], 0.0)[0]
 
 
 def shannon_entropy(p: FiniteMeasure) -> float:
@@ -96,19 +105,23 @@ def differential_entropy(p: GridDensity) -> float:
     return _entropy(p)
 
 
+def _members(cond: ConditionalFamily, p_x: FiniteMeasure, what: str):
+    """The X-mass weights and the members carrying them, stacked, once ``p_x`` may average them."""
+    if not p_x.is_probability:
+        raise NonProbabilityMeasure(f"{what} needs a probability X-marginal")
+    require_aligned(p_x, cond)
+    live = np.flatnonzero(p_x.weights > 0)
+    return p_x.weights[live], _rows(cond.members[k] for k in live)
+
+
 def conditional_entropy(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     """Average member entropy ``sum_x p_x(x) * H(cond[x])``.
 
     Shannon or differential entropy according to the family's
     Y-representation.  Members at zero-mass conditioning points are skipped.
     """
-    if not p_x.is_probability:
-        raise NonProbabilityMeasure("conditional entropy needs a probability X-marginal")
-    require_aligned(p_x, cond)
-    w = p_x.weights
-    return math.fsum(
-        w[k] * _entropy(cond.members[k]) for k in range(cond.n_x) if w[k] > 0
-    )
+    w, m = _members(cond, p_x, "conditional entropy")
+    return _average(w, [-v for v in _kl_rows(m.mass, m.log, 0.0)])
 
 
 def mutual_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
@@ -118,15 +131,8 @@ def mutual_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     member is automatically absolutely continuous with respect to the
     mixture it enters with positive coefficient).
     """
-    if not p_x.is_probability:
-        raise NonProbabilityMeasure("mutual information needs a probability X-marginal")
-    require_aligned(p_x, cond)
-    p_y = marginal_y(cond, p_x)
-    w = p_x.weights
-    parts = [w[k] * kl(cond.members[k], p_y) for k in range(cond.n_x) if w[k] > 0]
-    if any(math.isinf(t) for t in parts):
-        return math.inf
-    return math.fsum(parts)
+    w, m = _members(cond, p_x, "mutual information")
+    return _average(w, _kl_rows(m.mass, m.log, marginal_y(cond, p_x).log_density))
 
 
 def lautum_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
@@ -135,15 +141,9 @@ def lautum_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     The reversed-order companion of mutual information; ``+inf`` as soon as
     the marginal escapes the support of a member carrying X-mass.
     """
-    if not p_x.is_probability:
-        raise NonProbabilityMeasure("lautum information needs a probability X-marginal")
-    require_aligned(p_x, cond)
+    w, m = _members(cond, p_x, "lautum information")
     p_y = marginal_y(cond, p_x)
-    w = p_x.weights
-    parts = [w[k] * kl(p_y, cond.members[k]) for k in range(cond.n_x) if w[k] > 0]
-    if any(math.isinf(t) for t in parts):
-        return math.inf
-    return math.fsum(parts)
+    return _average(w, _kl_rows(atom_masses(p_y), p_y.log_density, m.log))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,13 @@ measure, scaled by ``1/lam``:
 
 Each decomposition is returned with every term stored, so a caller can
 audit the arithmetic; ``discrepancy = |direct - closed_form|`` is computed
-from the stored fields.  Aggregations over conditioning points use
-compensated summation, making reported totals independent of summation
-order to tight tolerance.
+from the stored fields.
+
+Every form runs through one row kernel: the laws are stacked one row per
+conditioning point, their reference is tilted by one batched log-sum-exp,
+and each term is a compensated per-row sum.  A single conditioning point is
+the one-row case; the averaged and marginal forms are ``p_x``-weighted
+compensated sums of the per-row values.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
 checked up front and violations raise, rather than producing ``inf - inf``.
@@ -35,25 +39,31 @@ checked up front and violations raise, rather than producing ``inf - inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     IndexMismatch,
     InfiniteDivergence,
     MutualContinuityViolated,
     NonFiniteExpectation,
+    NonProbabilityMeasure,
     NotAbsolutelyContinuous,
 )
-from .divergences import kl, lautum_information, mutual_information
-from .gibbs import CostTable, _require_lambda, gibbs_tilt
+from .divergences import _kl_rows
+from .gibbs import CostTable, _gibbs_rows, _require_lambda
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
     Measure,
-    absolutely_continuous,
-    atom_masses,
-    expectation,
+    _average,
+    _derived,
+    _escapes,
+    _mean_rows,
+    _rows,
+    _Rows,
     marginal_y,
     mix,
     require_aligned,
@@ -100,13 +110,133 @@ class GapDecomposition:
         object.__setattr__(self, "discrepancy", abs(self.direct - self.closed_form))
 
 
-def _check_ac(p: Measure, q: Measure, what: str) -> None:
-    if not absolutely_continuous(p, q):
-        raise NotAbsolutelyContinuous(what)
+# ---------------------------------------------------------------------------
+# the identities and the row kernel.  An identity gives ``lam * gap`` as
+# ``lam_gap(terms)``; a term ``(a, b, c)`` sums, row by row, the atom masses of
+# law ``a`` times ``log b - log c`` over the atoms of ``b``, so ``(a, a, c)`` is
+# ``kl(a, c)``.  The laws are ``p1``, ``p2``, ``ref`` and ``gibbs``, the tilt
+# of the law named by ``reference``; the ``dominated`` laws must be absolutely
+# continuous w.r.t. it.
+
+
+class _Identity(NamedTuple):
+    terms: dict[str, tuple[str, str, str]]
+    lam_gap: Callable[[Mapping[str, float]], float]
+    tag: str
+    reference: str = "ref"
+    dominated: tuple[str, ...] = ("p1", "p2")
+
+
+_TILT_TERMS = {"kl_p1_gibbs": ("p1", "p1", "gibbs"), "kl_p2_gibbs": ("p2", "p2", "gibbs")}
+_COMMON = _Identity(
+    {**_TILT_TERMS, "kl_p1_reference": ("p1", "p1", "ref"), "kl_p2_reference": ("p2", "p2", "ref")},
+    lambda t: t["kl_p1_gibbs"] - t["kl_p2_gibbs"] + t["kl_p2_reference"] - t["kl_p1_reference"],
+    "explicit",
+)
+_RELATIVE = {
+    "P2-ref": _Identity(
+        {**_TILT_TERMS, "kl_p1_p2": ("p1", "p1", "p2")},
+        lambda t: t["kl_p1_gibbs"] - t["kl_p2_gibbs"] - t["kl_p1_p2"],
+        "P2-as-reference",
+        reference="p2",
+        dominated=("p1",),
+    ),
+    "P1-ref": _Identity(
+        {**_TILT_TERMS, "kl_p2_p1": ("p2", "p2", "p1")},
+        lambda t: t["kl_p1_gibbs"] - t["kl_p2_gibbs"] + t["kl_p2_p1"],
+        "P1-as-reference",
+        reference="p1",
+        dominated=("p2",),
+    ),
+}
+# ``p1`` is the Y-marginal and ``p2`` the conditional family
+_MARGINAL = _Identity(
+    {
+        "mutual": ("p2", "p2", "p1"),
+        "lautum": ("p1", "p1", "p2"),
+        "cross_marginal": ("p1", "p2", "gibbs"),
+        "cross_conditional": ("p2", "p2", "gibbs"),
+    },
+    lambda t: t["mutual"] + t["lautum"] + t["cross_marginal"] - t["cross_conditional"],
+    "explicit",
+    dominated=(),  # its hypotheses need the marginal: _marginal checks them
+)
+
+
+def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights, checked: bool = True) -> float:
+    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``; ``checked`` rejects a non-finite row."""
+    rows = [a - b for a, b in zip(_mean_rows(h_rows, p1.mass), _mean_rows(h_rows, p2.mass))]
+    for value in rows if checked else ():
+        if not math.isfinite(value):
+            raise NonFiniteExpectation(f"gap evaluated to {value!r}")
+    return _average(weights, rows)
+
+
+def _decompose(identity, h, rows, weights, lam, laws, messages, log_gibbs=None, checked=True):
+    """The row kernel: per-row terms and gaps of ``identity``, reduced with ``weights``.
+
+    Each law holds a row per entry of ``rows`` or one for all; ``messages``
+    names the dominated laws.  The reference is tilted unless ``log_gibbs`` is.
+    """
+    ref = laws[identity.reference]
+    _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
+    h.require_matches(ref)
+    h_rows = h.values[rows]
+    if log_gibbs is None:
+        log_gibbs = _gibbs_rows(h_rows, ref.log, lam, ref.domain.base_mass)[0]
+    laws = {**laws, "gibbs": _Rows(None, log_gibbs, None)}
+    terms = {
+        name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
+        for name, (a, b, c) in identity.terms.items()
+    }
+    return GapDecomposition(
+        direct=_direct(h_rows, laws["p1"], laws["p2"], weights, checked),
+        closed_form=identity.lam_gap(terms) / lam,
+        terms=terms,
+        lam=lam,
+        reference_tag=identity.tag,
+    )
+
+
+def _require_continuity(rows, *checks, error=NotAbsolutelyContinuous) -> None:
+    """Raise ``error`` at the first row, and there at the first ``(p, q, message)``,
+    where ``p`` is not absolutely continuous w.r.t. ``q``; ``{k}`` names the row."""
+    fails = np.array([_escapes(p, q) for p, q, _ in checks])
+    if fails.any():
+        row = int(np.argmax(fails.any(axis=0)))
+        raise error(checks[int(np.argmax(fails[:, row]))][2].format(k=rows[row]))
+
+
+def _relative(direction: str) -> tuple[_Identity, list[str]]:
+    """The identity with ``p2`` (``"P2-ref"``) or ``p1`` (``"P1-ref"``) as the reference."""
+    if direction not in _RELATIVE:
+        raise ValueError(f"direction must be 'P2-ref' or 'P1-ref', got {direction!r}")
+    rel = _RELATIVE[direction]
+    return rel, [f"{direction} direction requires {rel.dominated[0]} << {rel.reference}"]
+
+
+def _point(h: CostTable, x_index: int, p1: Measure, p2: Measure, needs: str) -> list[int]:
+    """The one row of a single-point form, once ``p1`` and ``p2`` may enter it."""
+    require_same_representation(p1, p2)
+    h.row(x_index)
+    if not (p1.is_probability and p2.is_probability):
+        raise NonProbabilityMeasure(needs)
+    return [x_index]
+
+
+def _aligned(h: CostTable, p_x: FiniteMeasure, *families: ConditionalFamily):
+    """The aligned rows carrying X-mass, their weights and each family's members there."""
+    for cond in families:
+        require_aligned(p_x, cond)
+    if h.x_points != p_x.domain:
+        which = "families'" if len(families) > 1 else "family's"
+        raise IndexMismatch(f"the cost table's conditioning points must equal the {which}")
+    live = np.flatnonzero(p_x.weights > 0)
+    return live, p_x.weights[live], [_rows(cond[k] for k in live) for cond in families]
 
 
 # ---------------------------------------------------------------------------
-# single conditioning point
+# single conditioning point: the one-row case
 
 
 def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
@@ -114,13 +244,9 @@ def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
 
     Exactly antisymmetric in ``(p1, p2)``.
     """
-    require_same_representation(p1, p2)
+    rows = _point(h, x_index, p1, p2, "expectation requires a probability measure")
     h.require_matches(p1)
-    row = h.row(x_index)
-    value = expectation(row, p1) - expectation(row, p2)
-    if not math.isfinite(value):
-        raise NonFiniteExpectation(f"gap evaluated to {value!r}")
-    return value
+    return _direct(h.values[rows], _rows([p1]), _rows([p2]), [1.0])
 
 
 def gap_closed_form(
@@ -137,29 +263,10 @@ def gap_closed_form(
     sigma-finite measure in the same representation.
     """
     lam = _require_lambda(lam)
-    require_same_representation(p1, p2)
-    _check_ac(p1, q, "p1 is not absolutely continuous w.r.t. the reference")
-    _check_ac(p2, q, "p2 is not absolutely continuous w.r.t. the reference")
-    g = gibbs_tilt(h, q, lam, x_index).measure
-    terms = {
-        "kl_p1_gibbs": kl(p1, g),
-        "kl_p2_gibbs": kl(p2, g),
-        "kl_p1_reference": kl(p1, q),
-        "kl_p2_reference": kl(p2, q),
-    }
-    closed = (
-        terms["kl_p1_gibbs"]
-        - terms["kl_p2_gibbs"]
-        + terms["kl_p2_reference"]
-        - terms["kl_p1_reference"]
-    ) / lam
-    return GapDecomposition(
-        direct=gap_direct(h, x_index, p1, p2),
-        closed_form=closed,
-        terms=terms,
-        lam=lam,
-        reference_tag="explicit",
-    )
+    rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
+    laws = {"p1": _rows([p1]), "p2": _rows([p2]), "ref": _rows([q])}
+    messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
+    return _decompose(_COMMON, h, rows, [1.0], lam, laws, messages)
 
 
 def gap_closed_form_relative(
@@ -181,36 +288,10 @@ def gap_closed_form_relative(
     direction may legitimately fail for the same pair.
     """
     lam = _require_lambda(lam)
-    require_same_representation(p1, p2)
-    if direction == "P2-ref":
-        _check_ac(p1, p2, "P2-ref direction requires p1 << p2")
-        g = gibbs_tilt(h, p2, lam, x_index).measure
-        terms = {
-            "kl_p1_gibbs": kl(p1, g),
-            "kl_p2_gibbs": kl(p2, g),
-            "kl_p1_p2": kl(p1, p2),
-        }
-        closed = (terms["kl_p1_gibbs"] - terms["kl_p2_gibbs"] - terms["kl_p1_p2"]) / lam
-        tag = "P2-as-reference"
-    elif direction == "P1-ref":
-        _check_ac(p2, p1, "P1-ref direction requires p2 << p1")
-        g = gibbs_tilt(h, p1, lam, x_index).measure
-        terms = {
-            "kl_p1_gibbs": kl(p1, g),
-            "kl_p2_gibbs": kl(p2, g),
-            "kl_p2_p1": kl(p2, p1),
-        }
-        closed = (terms["kl_p1_gibbs"] - terms["kl_p2_gibbs"] + terms["kl_p2_p1"]) / lam
-        tag = "P1-as-reference"
-    else:
-        raise ValueError(f"direction must be 'P2-ref' or 'P1-ref', got {direction!r}")
-    return GapDecomposition(
-        direct=gap_direct(h, x_index, p1, p2),
-        closed_form=closed,
-        terms=terms,
-        lam=lam,
-        reference_tag=tag,
-    )
+    rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
+    identity, messages = _relative(direction)
+    laws = {"p1": _rows([p1]), "p2": _rows([p2])}
+    return _decompose(identity, h, rows, [1.0], lam, laws, messages)
 
 
 def gap_mixture_reference(
@@ -228,32 +309,11 @@ def gap_mixture_reference(
     """
     lam = _require_lambda(lam)
     q = mix(p1, p2, alpha)
-    dec = gap_closed_form(h, x_index, p1, p2, q, lam)
-    return GapDecomposition(
-        direct=dec.direct,
-        closed_form=dec.closed_form,
-        terms=dec.terms,
-        lam=lam,
-        reference_tag=f"mixture({alpha:g})",
-    )
+    return replace(gap_closed_form(h, x_index, p1, p2, q, lam), reference_tag=f"mixture({alpha:g})")
 
 
 # ---------------------------------------------------------------------------
-# averaged over an X-marginal
-
-
-def _aligned_pair(
-    h: CostTable,
-    cond1: ConditionalFamily,
-    cond2: ConditionalFamily,
-    p_x: FiniteMeasure,
-) -> None:
-    require_aligned(p_x, cond1)
-    require_aligned(p_x, cond2)
-    if h.x_points != cond1.x_points:
-        raise IndexMismatch(
-            "the cost table's conditioning points must equal the families'"
-        )
+# averaged over an X-marginal: p_x-weighted reductions of the rows
 
 
 def expected_gap_direct(
@@ -263,14 +323,10 @@ def expected_gap_direct(
     p_x: FiniteMeasure,
 ) -> float:
     """``sum_x p_x(x) * gap_direct(h, x, cond1[x], cond2[x])``."""
-    _aligned_pair(h, cond1, cond2, p_x)
-    w = p_x.weights
-    parts = [
-        w[k] * gap_direct(h, k, cond1[k], cond2[k])
-        for k in range(cond1.n_x)
-        if w[k] > 0
-    ]
-    return math.fsum(parts)
+    live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
+    require_same_representation(cond1[live[0]], cond2[live[0]])
+    h.require_matches(cond1[live[0]])
+    return _direct(h.values[live], p1, p2, weights)
 
 
 def expected_gap_closed_form(
@@ -288,38 +344,10 @@ def expected_gap_closed_form(
     per-point divergences, accumulated by compensated summation.
     """
     lam = _require_lambda(lam)
-    _aligned_pair(h, cond1, cond2, p_x)
-    w = p_x.weights
-    live = [k for k in range(cond1.n_x) if w[k] > 0]
-    for k in live:
-        _check_ac(cond1[k], q, f"cond1 member {k} is not absolutely continuous w.r.t. q")
-        _check_ac(cond2[k], q, f"cond2 member {k} is not absolutely continuous w.r.t. q")
-    rows: dict[str, list[float]] = {
-        "kl_p1_gibbs": [],
-        "kl_p2_gibbs": [],
-        "kl_p1_reference": [],
-        "kl_p2_reference": [],
-    }
-    for k in live:
-        g = gibbs_tilt(h, q, lam, k).measure
-        rows["kl_p1_gibbs"].append(w[k] * kl(cond1[k], g))
-        rows["kl_p2_gibbs"].append(w[k] * kl(cond2[k], g))
-        rows["kl_p1_reference"].append(w[k] * kl(cond1[k], q))
-        rows["kl_p2_reference"].append(w[k] * kl(cond2[k], q))
-    terms = {name: math.fsum(vals) for name, vals in rows.items()}
-    closed = (
-        terms["kl_p1_gibbs"]
-        - terms["kl_p2_gibbs"]
-        + terms["kl_p2_reference"]
-        - terms["kl_p1_reference"]
-    ) / lam
-    return GapDecomposition(
-        direct=expected_gap_direct(h, cond1, cond2, p_x),
-        closed_form=closed,
-        terms=terms,
-        lam=lam,
-        reference_tag="explicit",
-    )
+    live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
+    laws = {"p1": p1, "p2": p2, "ref": _rows([q])}
+    messages = [f"cond{c} member {{k}} is not absolutely continuous w.r.t. q" for c in (1, 2)]
+    return _decompose(_COMMON, h, live, weights, lam, laws, messages)
 
 
 def expected_gap_relative(
@@ -337,60 +365,30 @@ def expected_gap_relative(
     the reference varies with x.
     """
     lam = _require_lambda(lam)
-    if direction not in ("P2-ref", "P1-ref"):
-        raise ValueError(f"direction must be 'P2-ref' or 'P1-ref', got {direction!r}")
-    _aligned_pair(h, cond1, cond2, p_x)
-    w = p_x.weights
-    live = [k for k in range(cond1.n_x) if w[k] > 0]
-    cross_key = "kl_p1_p2" if direction == "P2-ref" else "kl_p2_p1"
-    rows: dict[str, list[float]] = {"kl_p1_gibbs": [], "kl_p2_gibbs": [], cross_key: []}
-    for k in live:
-        dec = gap_closed_form_relative(h, k, cond1[k], cond2[k], direction, lam)
-        for name in rows:
-            rows[name].append(w[k] * dec.terms[name])
-    terms = {name: math.fsum(vals) for name, vals in rows.items()}
-    sign = -1.0 if direction == "P2-ref" else 1.0
-    closed = (
-        terms["kl_p1_gibbs"] - terms["kl_p2_gibbs"] + sign * terms[cross_key]
-    ) / lam
-    return GapDecomposition(
-        direct=expected_gap_direct(h, cond1, cond2, p_x),
-        closed_form=closed,
-        terms=terms,
-        lam=lam,
-        reference_tag="P2-as-reference" if direction == "P2-ref" else "P1-as-reference",
-    )
+    identity, messages = _relative(direction)
+    live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
+    require_same_representation(cond1[live[0]], cond2[live[0]])
+    return _decompose(identity, h, live, weights, lam, {"p1": p1, "p2": p2}, messages)
 
 
 # ---------------------------------------------------------------------------
 # marginal vs conditional
 
 
-def _cross_terms(
-    cond: ConditionalFamily,
-    gibbs_members: list[Measure],
-    p_y: Measure,
-    p_x: FiniteMeasure,
-) -> tuple[float, float]:
-    """Product-law and joint-law integrals of ``log(d cond / d gibbs)``.
-
-    Every member carrying X-mass must be mutually absolutely continuous with
-    ``p_y`` and dominated by its Gibbs member, so that ``log m - log g`` is
-    finite on the member's atoms and both integrals run over those atoms.
-    """
-    w = p_x.weights
-    py_atoms = atom_masses(p_y)
-    t_marginal: list[float] = []
-    t_joint: list[float] = []
-    for k in range(cond.n_x):
-        if w[k] == 0:
-            continue
-        log_m = cond[k].log_density
-        live = log_m > -math.inf
-        log_ratio = log_m[live] - gibbs_members[k].log_density[live]
-        t_marginal.append(w[k] * math.fsum(py_atoms[live] * log_ratio))
-        t_joint.append(w[k] * math.fsum(atom_masses(cond[k])[live] * log_ratio))
-    return math.fsum(t_marginal), math.fsum(t_joint)
+def _marginal(h, cond, p_x, q, lam, log_gibbs=None) -> GapDecomposition:
+    """:func:`marginal_gap`, with the reference's tilt on every row given or made here."""
+    live, weights, (members,) = _aligned(h, p_x, cond)
+    laws = {"p2": members, "ref": _rows([q])}
+    _require_continuity(
+        live, (laws["p2"], laws["ref"], "family member {k} is not absolutely continuous w.r.t. q")
+    )
+    laws["p1"] = _rows([marginal_y(cond, p_x)])  # dominates every member it mixes in
+    mutual = "family member {k} and the marginal are not mutually absolutely continuous"
+    _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
+    if log_gibbs is None:
+        h.require_matches(q)
+        log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
+    return _decompose(_MARGINAL, h, live, weights, lam, laws, [], log_gibbs[live], False)
 
 
 def marginal_gap(
@@ -412,46 +410,7 @@ def marginal_gap(
     (:class:`MutualContinuityViolated` otherwise — the lautum term and the
     cross terms would degenerate to ``inf - inf``).
     """
-    lam = _require_lambda(lam)
-    require_aligned(p_x, cond)
-    if h.x_points != cond.x_points:
-        raise IndexMismatch("the cost table's conditioning points must equal the family's")
-    w = p_x.weights
-    live = [k for k in range(cond.n_x) if w[k] > 0]
-    for k in live:
-        _check_ac(cond[k], q, f"family member {k} is not absolutely continuous w.r.t. q")
-    p_y = marginal_y(cond, p_x)
-    for k in live:
-        if not (
-            absolutely_continuous(p_y, cond[k]) and absolutely_continuous(cond[k], p_y)
-        ):
-            raise MutualContinuityViolated(
-                f"family member {k} and the marginal are not mutually "
-                "absolutely continuous"
-            )
-    gibbs_members = [gibbs_tilt(h, q, lam, k).measure for k in range(cond.n_x)]
-    mutual = mutual_information(cond, p_x)
-    lautum = lautum_information(cond, p_x)
-    cross_m, cross_j = _cross_terms(cond, gibbs_members, p_y, p_x)
-    terms = {
-        "mutual": mutual,
-        "lautum": lautum,
-        "cross_marginal": cross_m,
-        "cross_conditional": cross_j,
-    }
-    closed = (mutual + lautum + cross_m - cross_j) / lam
-    direct_parts = [
-        w[k]
-        * (expectation(h.row(k), p_y) - expectation(h.row(k), cond[k]))
-        for k in live
-    ]
-    return GapDecomposition(
-        direct=math.fsum(direct_parts),
-        closed_form=closed,
-        terms=terms,
-        lam=lam,
-        reference_tag="explicit",
-    )
+    return _marginal(h, cond, p_x, q, _require_lambda(lam))
 
 
 def gibbs_marginal_gap(
@@ -470,14 +429,8 @@ def gibbs_marginal_gap(
     lam = _require_lambda(lam)
     if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
-    members = tuple(gibbs_tilt(h, q, lam, k).measure for k in range(h.n_x))
-    cond = ConditionalFamily(x_points=h.x_points, members=members)
-    dec = marginal_gap(h, cond, p_x, q, lam)
-    closed = (dec.terms["mutual"] + dec.terms["lautum"]) / lam
-    return GapDecomposition(
-        direct=dec.direct,
-        closed_form=closed,
-        terms=dec.terms,
-        lam=lam,
-        reference_tag="explicit",
-    )
+    h.require_matches(q)
+    log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
+    members = tuple(_derived(q, row, True) for row in log_gibbs)
+    dec = _marginal(h, ConditionalFamily(h.x_points, members), p_x, q, lam, log_gibbs)
+    return replace(dec, closed_form=(dec.terms["mutual"] + dec.terms["lautum"]) / lam)

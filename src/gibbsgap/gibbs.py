@@ -46,10 +46,11 @@ from .measures import (
     _derived,
     _freeze,
     _logsumexp,
+    _mean_rows,
     _point_support,
     expectation,
 )
-from .divergences import kl
+from .divergences import _kl_rows, kl
 
 __all__ = [
     "CostTable",
@@ -94,7 +95,7 @@ class CostTable:
         y_support = self.y_support
         if not isinstance(y_support, GridSupport):
             y_support = _point_support(y_support)
-        values = np.asarray(self.values, dtype=float)
+        values = _freeze(self.values)
         if values.ndim != 2:
             raise ValueError("cost values must be a 2-D (n_x, n_y) array")
         if values.shape[0] != x_points.n_atoms:
@@ -107,7 +108,7 @@ class CostTable:
             raise NonFiniteValue("cost entries must be finite")
         object.__setattr__(self, "x_points", x_points)
         object.__setattr__(self, "y_support", y_support)
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def on_support(cls, x_points, y_points, values) -> "CostTable":
@@ -151,10 +152,27 @@ def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
     if ``t*h`` overflows the shift, which finite inputs do not).
     """
     h.require_matches(q)
+    _, k_val = _tilt_rows(h.row(x_index)[None], q.log_density, float(t), q.domain.base_mass)
+    return float(k_val[0])
+
+
+def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
+    """``t * h + log ref`` and the log-partition value of each row, by one batched
+    log-sum-exp; :func:`log_partition` and :func:`gibbs_tilt` are its one-row case."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
-        a = float(t) * h.row(x_index) + q.log_density
+        a = t * h_rows + log_ref
     a[np.isnan(a)] = -math.inf  # a null atom stays null, however large t * h is there
-    return float(_logsumexp(a)) + math.log(q.domain.base_mass)
+    return a, _logsumexp(a, axis=-1) + math.log(base_mass)
+
+
+def _gibbs_rows(h_rows: np.ndarray, log_ref, lam: float, base_mass: float):
+    """Log atoms ``log ref - lam * h - log_partition`` of each row's tilt, and the log-partition
+    values; :class:`InfiniteLogPartition` at the first row whose value is not finite."""
+    a, k_vals = _tilt_rows(h_rows, log_ref, -lam, base_mass)
+    if not np.isfinite(k_vals).all():
+        bad = float(k_vals[~np.isfinite(k_vals)][0])
+        raise InfiniteLogPartition(f"log-partition value is {bad!r}")
+    return a - k_vals[:, None], k_vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +213,11 @@ def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResul
         if the normalization constant is not finite.
     """
     lam = _require_lambda(lam)
-    k_val = log_partition(h, q, x_index, -lam)
-    if not math.isfinite(k_val):
-        raise InfiniteLogPartition(f"log-partition value is {k_val!r}")
+    h.require_matches(q)
+    log_g, k_vals = _gibbs_rows(h.row(x_index)[None], q.log_density, lam, q.domain.base_mass)
+    k_val = float(k_vals[0])
     return GibbsResult(
-        measure=_derived(q, q.log_density - lam * h.row(x_index) - k_val, True),
+        measure=_derived(q, log_g[0], True),
         log_partition=k_val,
         free_energy=-k_val / lam,
         lam=lam,
@@ -266,12 +284,6 @@ def free_energy_identities(
     )
 
 
-def _objective(log_p: np.ndarray, log_q: np.ndarray, h_row: np.ndarray, lam: float) -> float:
-    """``E_P[h] + kl(P, Q)/lam`` from log atoms on the atoms where Q lives."""
-    p = np.exp(log_p)
-    return math.fsum(p * h_row) + math.fsum(p * (log_p - log_q)) / lam
-
-
 def variational_oracle(
     h: CostTable,
     q: FiniteMeasure,
@@ -300,15 +312,13 @@ def variational_oracle(
         raise RepresentationMismatch("the variational oracle works on finite supports")
     lam = _require_lambda(lam)
     h.require_matches(q)
-    k_val = log_partition(h, q, x_index, -lam)
-    if not math.isfinite(k_val):
-        raise InfiniteLogPartition(f"log-partition value is {k_val!r}")
-    free_energy = -k_val / lam
+    k_vals = _gibbs_rows(h.row(x_index)[None], q.log_density, lam, q.domain.base_mass)[1]
+    free_energy = -float(k_vals[0]) / lam
     tol = min(1e-10, 2e-10 / abs(lam))
 
     live = q.log_density > -math.inf
-    h_live = h.row(x_index)[live]
-    log_qa = q.log_density[live]
+    h_live = h.row(x_index)[live][None]  # one row on the atoms of Q
+    log_qa = q.log_density[live][None]
     log_p = log_qa - _logsumexp(log_qa)
     steps = 0
     while True:
@@ -322,12 +332,13 @@ def variational_oracle(
         log_p -= _logsumexp(log_p)
         steps += 1
 
-    value = _objective(log_p, log_qa, h_live, lam)
+    p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
+    value = _mean_rows(h_live, p)[0] + _kl_rows(p, log_p, log_qa)[0] / lam
     if abs(value - free_energy) > 1e-6:
         raise NonConvergence(
             f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
             f"after {steps} iterations"
         )
     log_full = np.full(live.shape, -math.inf)
-    log_full[live] = log_p
+    log_full[live] = log_p[0]
     return _derived(q, log_full, True)

@@ -27,7 +27,7 @@ weights, kept as given.  The *atom mass* of a cell is ``value *
 cell_width``; ratios of atom masses equal ratios of densities.
 
 Every value is immutable after construction (frozen dataclasses, read-only
-arrays), so instances can be shared freely across threads.
+array copies), so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,8 +78,9 @@ PROB_TOL_FINITE = 1e-12
 PROB_TOL_GRID = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a) -> np.ndarray:
+    """A read-only contiguous float copy of ``a``: never the caller's own array."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -183,7 +184,7 @@ class _Measure:
 
         A given ``density`` (the caller's weights or cell values) is checked."""
         if log_density is None:
-            density = np.asarray(density, dtype=float)
+            density = _freeze(density)
             if density.shape != (domain.n_atoms,):
                 raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
             if not np.all(np.isfinite(density)):
@@ -195,7 +196,7 @@ class _Measure:
                 raise ZeroMass("total mass must be strictly positive")
             if is_probability and abs(mass - 1.0) > domain.prob_tol:
                 raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
-            self.__dict__["_density"] = _freeze(density)
+            self.__dict__["_density"] = density
         else:
             self.__dict__["log_density"] = _freeze(log_density)
         object.__setattr__(self, "domain", domain)
@@ -421,10 +422,41 @@ def expectation(f, p: Measure) -> float:
             raise ValueError(
                 f"integrand has {vals.shape} values for {atoms.shape} atoms"
             )
-    live = atoms > 0
-    if not np.all(np.isfinite(vals[live])):
+    if not np.all(np.isfinite(vals[atoms > 0])):
         raise NonFiniteValue("integrand is not finite on the support")
-    return math.fsum(vals[live] * atoms[live])
+    return _mean_rows(vals[None], atoms[None])[0]
+
+
+def _mean_rows(f: np.ndarray, masses: np.ndarray) -> list[float]:
+    """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass."""
+    if f.shape != masses.shape:
+        f, masses = np.broadcast_arrays(f, masses)
+    live = masses > 0
+    flat = f[live] * masses[live]  # the live products, row after row
+    if len(live) == 1:  # the single-measure calls: no split, and two reductions fewer
+        return [math.fsum(flat.tolist())]
+    ends = live.sum(axis=-1).cumsum().tolist()
+    return [math.fsum(flat[a:b].tolist()) for a, b in zip([0] + ends, ends)]
+
+
+def _average(weights, rows) -> float:
+    """``sum_k weights[k] * rows[k]`` by compensated summation: the reduction over x."""
+    return math.fsum(w * v for w, v in zip(weights, rows))
+
+
+class _Rows(NamedTuple):
+    """Measures on one support stacked one per row: log atoms and atom masses."""
+
+    domain: Union[PointSupport, GridSupport]
+    log: np.ndarray
+    mass: Optional[np.ndarray]
+
+
+def _rows(measures) -> _Rows:
+    measures = list(measures)
+    domain = measures[0].domain
+    log = np.array([m.log_density for m in measures])
+    return _Rows(domain, log, np.array([m._density for m in measures]) * domain.base_mass)
 
 
 def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
@@ -468,9 +500,14 @@ def absolutely_continuous(p: Measure, q: Measure) -> bool:
     unequal supports are never absolutely continuous with respect to each
     other here (densities against different base measures are not compared).
     """
+    return not _escapes(_rows([p]), _rows([q]))[0]
+
+
+def _escapes(p: _Rows, q: _Rows) -> np.ndarray:
+    """Per row, not ``p << q``; every row fails on unequal supports."""
     if p.domain != q.domain:
-        return False
-    return bool(np.all(q.log_density[p.log_density > -math.inf] > -math.inf))
+        return np.ones(max(len(p.log), len(q.log)), dtype=bool)
+    return ((p.log > -math.inf) & ~(q.log > -math.inf)).any(axis=-1)
 
 
 def radon_nikodym(p: Measure, q: Measure) -> np.ndarray:

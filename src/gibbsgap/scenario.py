@@ -208,10 +208,8 @@ def _build_scenario(doc: dict) -> Scenario:
             raise ScenarioError("'y_grid' must be an object with lo/hi/n_cells")
         lo = _num(g.get("lo"), "y_grid.lo")
         hi = _num(g.get("hi"), "y_grid.hi")
-        n_y = g.get("n_cells")
+        n_y = _int_in(g.get("n_cells"), "y_grid.n_cells", 1)
         unit = "values for {} cells"
-        if not isinstance(n_y, int) or n_y < 1:
-            raise ScenarioError("y_grid.n_cells must be a positive integer")
         cost = CostTable.on_grid(x_points, lo, hi, n_y, cost_rows)
         build = functools.partial(make_grid_density, lo, hi)
 

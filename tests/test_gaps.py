@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -351,3 +352,82 @@ def test_gibbs_family_cross_terms_vanish_exactly():
 def test_gap_decomposition_discrepancy_is_derived():
     dec = gap_closed_form(H01, 0, P_AT_0, P_AT_1, counting_measure(PTS), 1.0)
     assert dec.discrepancy == abs(dec.direct - dec.closed_form)
+
+
+# ---------------------------------------------------------------------------
+# one row kernel: a single point is the one-row case
+
+
+def _same(a, b):
+    assert (a.direct, a.closed_form, a.reference_tag) == (b.direct, b.closed_form, b.reference_tag)
+    assert list(a.terms.items()) == list(b.terms.items())
+
+
+def test_a_single_point_is_exactly_the_one_row_case():
+    rng = np.random.default_rng(127)
+    for _ in range(60):
+        n_x, n_y = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+        pts, xs = y_points(n_y), y_points(int(n_x))
+        h = rand_cost(rng, n_x, pts)
+        c1, c2 = _family_pair(rng, n_x, pts)
+        q = rand_reference(rng, pts, probability=bool(rng.integers(2)))
+        lam = rng.choice(LAMBDAS)
+        k = int(rng.integers(n_x))
+        at_k = make_finite_measure(xs, np.eye(n_x)[k])
+        _same(
+            expected_gap_closed_form(h, c1, c2, at_k, q, lam),
+            gap_closed_form(h, k, c1[k], c2[k], q, lam),
+        )
+        for direction in ("P2-ref", "P1-ref"):
+            _same(
+                expected_gap_relative(h, c1, c2, at_k, direction, lam),
+                gap_closed_form_relative(h, k, c1[k], c2[k], direction, lam),
+            )
+        p_x = rand_prob(rng, xs)
+        tilted = tuple(gibbs_tilt(h, q, lam, j).measure for j in range(n_x))
+        family = ConditionalFamily(x_points=xs, members=tilted)
+        _same(gibbs_marginal_gap(h, q, lam, p_x), marginal_gap(h, family, p_x, q, lam))
+
+
+def test_batched_hypothesis_checks_name_the_first_failing_member():
+    pts = xs = y_points(3)
+    full = make_finite_measure(pts, (0.2, 0.3, 0.5))
+    partial = make_finite_measure(pts, (0.5, 0.5, 0.0))
+    q = make_finite_measure(pts, (1.0, 1.0, 0.0))  # dominates `partial` only
+    h = CostTable.on_support(xs, pts, np.arange(9.0).reshape(3, 3) / 9.0)
+    p_x = make_finite_measure(xs, (0.2, 0.3, 0.5))
+
+    def fam(*members):
+        return ConditionalFamily(x_points=xs, members=members)
+
+    def raises(error, message, fn, *args):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            fn(*args)
+
+    escapes = "member {} is not absolutely continuous w.r.t. q"
+    cases = [  # (cond1, cond2, the failing member named)
+        ((partial, partial, partial), (partial, full, partial), "cond2 " + escapes.format(1)),
+        ((partial, partial, full), (partial, full, partial), "cond2 " + escapes.format(1)),
+        ((partial, full, partial), (partial, full, full), "cond1 " + escapes.format(1)),
+        ((full, partial, partial), (full, partial, partial), "cond1 " + escapes.format(0)),
+    ]
+    for cond1, cond2, message in cases:
+        args = (h, fam(*cond1), fam(*cond2), p_x, q, 1.0)
+        raises(NotAbsolutelyContinuous, message, expected_gap_closed_form, *args)
+
+    raises(NotAbsolutelyContinuous, "family " + escapes.format(1),
+           marginal_gap, h, fam(partial, full, full), p_x, q, 1.0)
+    mutual = "family member {} and the marginal are not mutually absolutely continuous"
+    counting = counting_measure(pts)
+    for members, k in (((full, partial, full), 1), ((full, full, partial), 2),
+                       ((full, partial, partial), 1)):
+        raises(MutualContinuityViolated, mutual.format(k),
+               marginal_gap, h, fam(*members), p_x, counting, 1.0)
+
+    raises(NotAbsolutelyContinuous, "p2 is not absolutely continuous w.r.t. the reference",
+           gap_closed_form, h, 0, partial, full, q, 1.0)
+    raises(NotAbsolutelyContinuous, "P2-ref direction requires p1 << p2",
+           gap_closed_form_relative, h, 0, full, partial, "P2-ref", 1.0)
+    raises(NotAbsolutelyContinuous, "P1-ref direction requires p2 << p1",
+           expected_gap_relative, h, fam(full, partial, full), fam(full, full, full), p_x,
+           "P1-ref", 1.0)

@@ -253,6 +253,15 @@ def test_overflowing_tilt_raises_infinite_log_partition():
         gibbs_tilt(h, counting_measure(PTS), -1e308, 0)
 
 
+def test_null_atom_stays_null_where_the_tilt_overflows():
+    # lam * h overflows to -inf on the reference's null atom: log g must be
+    # -inf there, never -inf - (-inf) = nan
+    q = make_finite_measure(PTS, (1.0, 0.0))
+    h = CostTable.on_support([[0.0]], PTS, [[0.0, -1e10]])
+    g = gibbs_tilt(h, q, 1e300, 0)
+    assert g.measure.log_density.tolist() == [0.0, -math.inf]
+
+
 def test_gibbs_is_the_variational_optimum_against_samples():
     # the tilted measure beats random competitors on E_P[h] + kl(P,Q)/lam
     rng = np.random.default_rng(41)

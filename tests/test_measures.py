@@ -368,3 +368,20 @@ def test_grid_type_roundtrip():
     g = make_grid_density(-1.0, 1.0, np.array([0.25, 0.75]))
     assert isinstance(g, GridDensity)
     assert g.n_cells == 2 and g.lo == -1.0 and g.hi == 1.0
+
+
+def test_constructors_copy_the_callers_arrays():
+    pts, w = np.array([[0.0], [1.0], [2.0]]), np.array([0.2, 0.3, 0.5])
+    v, x = np.array([0.5, 1.5]), np.array([[0.0], [1.0]])
+    c, p = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]), np.array([[3.0], [4.0]])
+    kept = [a.copy() for a in (pts, w, v, x, c, p)]
+    m = make_finite_measure(pts, w)
+    g = make_grid_density(0.0, 1.0, v)
+    h = CostTable.on_support(x, pts, c)
+    s = PointSupport(p)
+    for a in (pts, w, v, x, c, p):
+        a[0] = -7.0  # the caller's arrays stay writable
+    held = (m.support, m.weights, g.values, h.x_points.points, h.values, s.points)
+    for got, want in zip(held, kept):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(h.y_support.points, kept[0])

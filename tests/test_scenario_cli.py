@@ -191,6 +191,17 @@ def test_schema_violations_raise_scenario_error(tmp_path, mutate):
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_bool_grid_cell_count_exits_2_naming_the_field(tmp_path):
+    doc = json.loads(TWO_POINT.read_text())
+    del doc["y_support"]
+    doc["y_grid"] = {"lo": 0.0, "hi": 1.0, "n_cells": True}  # a bool is not the integer 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _cli("verify", path)
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert "y_grid.n_cells" in err
+
+
 def test_runtime_dimension_error_exits_2(tmp_path):
     doc = json.loads(TWO_POINT.read_text())
     doc["pairs"] = [{"op": "gap_closed_form", "x_index": 5, "p1": "point0", "p2": "point1"}]
