@@ -30,11 +30,10 @@ from .measures import (
     GridDensity,
     Measure,
     _average,
+    _live_rows,
     _mean_rows,
-    _rows,
     atom_masses,
     marginal_y,
-    require_aligned,
     require_same_representation,
 )
 
@@ -109,9 +108,8 @@ def _members(cond: ConditionalFamily, p_x: FiniteMeasure, what: str):
     """The X-mass weights and the members carrying them, stacked, once ``p_x`` may average them."""
     if not p_x.is_probability:
         raise NonProbabilityMeasure(f"{what} needs a probability X-marginal")
-    require_aligned(p_x, cond)
-    live = np.flatnonzero(p_x.weights > 0)
-    return p_x.weights[live], _rows(cond.members[k] for k in live)
+    _, weights, (members,) = _live_rows(p_x, cond)
+    return weights, members
 
 
 def conditional_entropy(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:

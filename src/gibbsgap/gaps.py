@@ -61,12 +61,12 @@ from .measures import (
     _average,
     _derived,
     _escapes,
+    _live_rows,
     _mean_rows,
     _rows,
     _Rows,
     marginal_y,
     mix,
-    require_aligned,
     require_same_representation,
 )
 
@@ -225,14 +225,12 @@ def _point(h: CostTable, x_index: int, p1: Measure, p2: Measure, needs: str) -> 
 
 
 def _aligned(h: CostTable, p_x: FiniteMeasure, *families: ConditionalFamily):
-    """The aligned rows carrying X-mass, their weights and each family's members there."""
-    for cond in families:
-        require_aligned(p_x, cond)
+    """:func:`_live_rows`, once ``h`` is aligned with ``p_x`` too."""
+    aligned = _live_rows(p_x, *families)
     if h.x_points != p_x.domain:
         which = "families'" if len(families) > 1 else "family's"
         raise IndexMismatch(f"the cost table's conditioning points must equal the {which}")
-    live = np.flatnonzero(p_x.weights > 0)
-    return live, p_x.weights[live], [_rows(cond[k] for k in live) for cond in families]
+    return aligned
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +373,8 @@ def expected_gap_relative(
 # marginal vs conditional
 
 
-def _marginal(h, cond, p_x, q, lam, log_gibbs=None) -> GapDecomposition:
-    """:func:`marginal_gap`, with the reference's tilt on every row given or made here."""
+def _marginal(h, cond, p_x, q, lam, tilted=False) -> GapDecomposition:
+    """:func:`marginal_gap`; ``tilted`` when ``cond`` is ``q``'s Gibbs family, so its rows are the tilt."""
     live, weights, (members,) = _aligned(h, p_x, cond)
     laws = {"p2": members, "ref": _rows([q])}
     _require_continuity(
@@ -385,10 +383,8 @@ def _marginal(h, cond, p_x, q, lam, log_gibbs=None) -> GapDecomposition:
     laws["p1"] = _rows([marginal_y(cond, p_x)])  # dominates every member it mixes in
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
     _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
-    if log_gibbs is None:
-        h.require_matches(q)
-        log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
-    return _decompose(_MARGINAL, h, live, weights, lam, laws, [], log_gibbs[live], False)
+    log_gibbs = laws["p2"].log if tilted else None
+    return _decompose(_MARGINAL, h, live, weights, lam, laws, [], log_gibbs, False)
 
 
 def marginal_gap(
@@ -432,5 +428,5 @@ def gibbs_marginal_gap(
     h.require_matches(q)
     log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
     members = tuple(_derived(q, row, True) for row in log_gibbs)
-    dec = _marginal(h, ConditionalFamily(h.x_points, members), p_x, q, lam, log_gibbs)
+    dec = _marginal(h, ConditionalFamily(h.x_points, members), p_x, q, lam, tilted=True)
     return replace(dec, closed_form=(dec.terms["mutual"] + dec.terms["lautum"]) / lam)

@@ -433,8 +433,6 @@ def _mean_rows(f: np.ndarray, masses: np.ndarray) -> list[float]:
         f, masses = np.broadcast_arrays(f, masses)
     live = masses > 0
     flat = f[live] * masses[live]  # the live products, row after row
-    if len(live) == 1:  # the single-measure calls: no split, and two reductions fewer
-        return [math.fsum(flat.tolist())]
     ends = live.sum(axis=-1).cumsum().tolist()
     return [math.fsum(flat[a:b].tolist()) for a, b in zip([0] + ends, ends)]
 
@@ -457,6 +455,14 @@ def _rows(measures) -> _Rows:
     domain = measures[0].domain
     log = np.array([m.log_density for m in measures])
     return _Rows(domain, log, np.array([m._density for m in measures]) * domain.base_mass)
+
+
+def _live_rows(p_x: FiniteMeasure, *families: ConditionalFamily):
+    """The conditioning points carrying X-mass, their weights and each family's members there, stacked."""
+    for cond in families:
+        require_aligned(p_x, cond)
+    live = np.flatnonzero(p_x.weights > 0)
+    return live, p_x.weights[live], [_rows(cond.members[k] for k in live) for cond in families]
 
 
 def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:

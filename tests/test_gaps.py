@@ -431,3 +431,16 @@ def test_batched_hypothesis_checks_name_the_first_failing_member():
     raises(NotAbsolutelyContinuous, "P1-ref direction requires p2 << p1",
            expected_gap_relative, h, fam(full, partial, full), fam(full, full, full), p_x,
            "P1-ref", 1.0)
+
+
+def test_a_row_without_x_mass_is_never_tilted():
+    # lam * h overflows on row 1 only; row 1 carries no X-mass, so neither form tilts it
+    h = CostTable.on_support(y_points(2), PTS, [[0.0, 0.5], [-1e10, 0.0]])
+    p = make_finite_measure(PTS, (0.5, 0.5))
+    cond = constant_family(y_points(2), p)
+    p_x = make_finite_measure(y_points(2), (1.0, 0.0))
+    q, lam = counting_measure(PTS), 1e300
+    averaged = expected_gap_closed_form(h, cond, cond, p_x, q, lam)
+    assert averaged.direct == 0.0
+    dec = marginal_gap(h, cond, p_x, q, lam)
+    assert (dec.direct, dec.terms["mutual"], dec.terms["lautum"]) == (0.0, 0.0, 0.0)
