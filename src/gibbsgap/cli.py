@@ -19,6 +19,7 @@ are the only side channels.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ScenarioError
@@ -56,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
-        if args.tolerance is not None and not args.tolerance > 0:
-            print("error: --tolerance must be positive", file=sys.stderr)
+        if args.tolerance is not None and not 0 < args.tolerance < math.inf:
+            print("error: --tolerance must be finite and positive", file=sys.stderr)
             return 2
         try:
             report, code = run_scenario_file(args.file, tolerance=args.tolerance)

@@ -122,6 +122,14 @@ def conditional_entropy(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     return _average(w, [-v for v in _kl_rows(m.mass, m.log, 0.0)])
 
 
+def _mutual(w, m, p_y: Measure) -> float:
+    return _average(w, _kl_rows(m.mass, m.log, p_y.log_density))
+
+
+def _lautum(w, m, p_y: Measure) -> float:
+    return _average(w, _kl_rows(atom_masses(p_y), p_y.log_density, m.log))
+
+
 def mutual_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     """``I = sum_x p_x(x) * kl(cond[x], marginal)`` in nats; always >= 0.
 
@@ -129,8 +137,7 @@ def mutual_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     member is automatically absolutely continuous with respect to the
     mixture it enters with positive coefficient).
     """
-    w, m = _members(cond, p_x, "mutual information")
-    return _average(w, _kl_rows(m.mass, m.log, marginal_y(cond, p_x).log_density))
+    return _mutual(*_members(cond, p_x, "mutual information"), marginal_y(cond, p_x))
 
 
 def lautum_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
@@ -139,9 +146,7 @@ def lautum_information(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:
     The reversed-order companion of mutual information; ``+inf`` as soon as
     the marginal escapes the support of a member carrying X-mass.
     """
-    w, m = _members(cond, p_x, "lautum information")
-    p_y = marginal_y(cond, p_x)
-    return _average(w, _kl_rows(atom_masses(p_y), p_y.log_density, m.log))
+    return _lautum(*_members(cond, p_x, "lautum information"), marginal_y(cond, p_x))
 
 
 @dataclass(frozen=True)
@@ -168,11 +173,15 @@ class InfoSummary:
 
 
 def info_summary(cond: ConditionalFamily, p_x: FiniteMeasure) -> InfoSummary:
-    """Bundle mutual/lautum information with the two conditional entropies."""
+    """Bundle mutual/lautum information with the two conditional entropies.
+
+    The Y-marginal is built once and shared by the three terms that need it.
+    """
     p_y = marginal_y(cond, p_x)
+    w, m = _members(cond, p_x, "mutual information")
     return InfoSummary(
-        mutual=mutual_information(cond, p_x),
-        lautum=lautum_information(cond, p_x),
+        mutual=_mutual(w, m, p_y),
+        lautum=_lautum(w, m, p_y),
         cond_entropy_1=_entropy(p_y),
         cond_entropy_2=conditional_entropy(cond, p_x),
     )

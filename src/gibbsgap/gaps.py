@@ -59,11 +59,11 @@ from .measures import (
     FiniteMeasure,
     Measure,
     _average,
-    _derived,
     _escapes,
+    _family,
     _live_rows,
     _mean_rows,
-    _rows,
+    _row,
     _Rows,
     marginal_y,
     mix,
@@ -244,7 +244,7 @@ def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
     """
     rows = _point(h, x_index, p1, p2, "expectation requires a probability measure")
     h.require_matches(p1)
-    return _direct(h.values[rows], _rows([p1]), _rows([p2]), [1.0])
+    return _direct(h.values[rows], _row(p1), _row(p2), [1.0])
 
 
 def gap_closed_form(
@@ -262,7 +262,7 @@ def gap_closed_form(
     """
     lam = _require_lambda(lam)
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
-    laws = {"p1": _rows([p1]), "p2": _rows([p2]), "ref": _rows([q])}
+    laws = {"p1": _row(p1), "p2": _row(p2), "ref": _row(q)}
     messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
     return _decompose(_COMMON, h, rows, [1.0], lam, laws, messages)
 
@@ -288,7 +288,7 @@ def gap_closed_form_relative(
     lam = _require_lambda(lam)
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     identity, messages = _relative(direction)
-    laws = {"p1": _rows([p1]), "p2": _rows([p2])}
+    laws = {"p1": _row(p1), "p2": _row(p2)}
     return _decompose(identity, h, rows, [1.0], lam, laws, messages)
 
 
@@ -343,7 +343,7 @@ def expected_gap_closed_form(
     """
     lam = _require_lambda(lam)
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
-    laws = {"p1": p1, "p2": p2, "ref": _rows([q])}
+    laws = {"p1": p1, "p2": p2, "ref": _row(q)}
     messages = [f"cond{c} member {{k}} is not absolutely continuous w.r.t. q" for c in (1, 2)]
     return _decompose(_COMMON, h, live, weights, lam, laws, messages)
 
@@ -376,11 +376,11 @@ def expected_gap_relative(
 def _marginal(h, cond, p_x, q, lam, tilted=False) -> GapDecomposition:
     """:func:`marginal_gap`; ``tilted`` when ``cond`` is ``q``'s Gibbs family, so its rows are the tilt."""
     live, weights, (members,) = _aligned(h, p_x, cond)
-    laws = {"p2": members, "ref": _rows([q])}
+    laws = {"p2": members, "ref": _row(q)}
     _require_continuity(
         live, (laws["p2"], laws["ref"], "family member {k} is not absolutely continuous w.r.t. q")
     )
-    laws["p1"] = _rows([marginal_y(cond, p_x)])  # dominates every member it mixes in
+    laws["p1"] = _row(marginal_y(cond, p_x))  # dominates every member it mixes in
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
     _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
     log_gibbs = laws["p2"].log if tilted else None
@@ -427,6 +427,6 @@ def gibbs_marginal_gap(
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     h.require_matches(q)
     log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
-    members = tuple(_derived(q, row, True) for row in log_gibbs)
-    dec = _marginal(h, ConditionalFamily(h.x_points, members), p_x, q, lam, tilted=True)
+    log_gibbs.flags.writeable = False
+    dec = _marginal(h, _family(h.x_points, q.domain, log_density=log_gibbs), p_x, q, lam, tilted=True)
     return replace(dec, closed_form=(dec.terms["mutual"] + dec.terms["lautum"]) / lam)

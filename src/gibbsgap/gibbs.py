@@ -217,7 +217,7 @@ def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResul
     log_g, k_vals = _gibbs_rows(h.row(x_index)[None], q.log_density, lam, q.domain.base_mass)
     k_val = float(k_vals[0])
     return GibbsResult(
-        measure=_derived(q, log_g[0], True),
+        measure=_derived(q.domain, True, log_density=_freeze(log_g[0])),
         log_partition=k_val,
         free_energy=-k_val / lam,
         lam=lam,
@@ -341,4 +341,4 @@ def variational_oracle(
         )
     log_full = np.full(live.shape, -math.inf)
     log_full[live] = log_p[0]
-    return _derived(q, log_full, True)
+    return _derived(q.domain, True, log_density=_freeze(log_full))

@@ -174,33 +174,9 @@ def _point_support(points) -> PointSupport:
 # measures
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class _Measure:
-    domain: Union[PointSupport, GridSupport]
-    is_probability: bool
-
-    def __init__(self, domain, is_probability: bool, *, log_density=None, density=None) -> None:
-        """The one constructor of every measure; ``domain`` is never validated again.
-
-        A given ``density`` (the caller's weights or cell values) is checked."""
-        if log_density is None:
-            density = _freeze(density)
-            if density.shape != (domain.n_atoms,):
-                raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
-            if not np.all(np.isfinite(density)):
-                raise NonFiniteValue("weights must be finite")
-            if np.any(density < 0):
-                raise NegativeWeight(f"negative weight at atom {int(np.argmin(density))}")
-            mass = math.fsum(density) * domain.base_mass
-            if not mass > 0.0:
-                raise ZeroMass("total mass must be strictly positive")
-            if is_probability and abs(mass - 1.0) > domain.prob_tol:
-                raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
-            self.__dict__["_density"] = density
-        else:
-            self.__dict__["log_density"] = _freeze(log_density)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "is_probability", bool(is_probability))
+class _Atoms:
+    """Two views of the atoms of a measure, or of each row of a family: weights
+    (``_density``) and log atoms.  One is kept as given, the other derived once."""
 
     @cached_property
     def log_density(self) -> np.ndarray:
@@ -213,10 +189,26 @@ class _Measure:
         return _freeze(np.exp(self.log_density))
 
 
-def _derived(like: Measure, log_density: np.ndarray, is_probability: bool) -> Measure:
-    """A measure of ``like``'s type on ``like``'s support object."""
-    m = object.__new__(type(like))
-    _Measure.__init__(m, like.domain, is_probability, log_density=log_density)
+@dataclass(frozen=True, eq=False, init=False)
+class _Measure(_Atoms):
+    domain: Union[PointSupport, GridSupport]
+    is_probability: bool
+
+    def __init__(self, domain, is_probability: bool, density) -> None:
+        """The validating constructor: ``density`` holds the caller's weights or cell values."""
+        density = _freeze(density)
+        if density.shape != (domain.n_atoms,):
+            raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
+        mass = float(_weights(density[None], domain.base_mass)[1][0])
+        if is_probability and abs(mass - 1.0) > domain.prob_tol:
+            raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
+        self.__dict__.update(_density=density, domain=domain, is_probability=bool(is_probability))
+
+
+def _derived(domain, is_probability: bool, **views) -> Measure:
+    """A measure on the support object ``domain`` holding the read-only ``views`` as given."""
+    m = object.__new__(FiniteMeasure if isinstance(domain, PointSupport) else GridDensity)
+    m.__dict__.update(views, domain=domain, is_probability=is_probability)
     return m
 
 
@@ -229,7 +221,7 @@ class FiniteMeasure(_Measure):
     """
 
     def __init__(self, support, weights, is_probability: bool = False) -> None:
-        super().__init__(_point_support(support), is_probability, density=weights)
+        super().__init__(_point_support(support), is_probability, weights)
 
     support = property(lambda self: self.domain.points)
     weights = property(lambda self: self._density)
@@ -248,7 +240,7 @@ class GridDensity(_Measure):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("grid values must be a 1-D array")
-        super().__init__(GridSupport(lo, hi, values.shape[0]), is_probability, density=values)
+        super().__init__(GridSupport(lo, hi, values.shape[0]), is_probability, values)
 
     lo = property(lambda self: self.domain.lo)
     hi = property(lambda self: self.domain.hi)
@@ -283,13 +275,43 @@ def total_mass(p: Measure) -> float:
 # construction helpers
 
 
+def _masses(w: np.ndarray, base_mass: float) -> np.ndarray:
+    """Each row's total mass: one ``fsum`` of the row, times ``base_mass``; NaN on a
+    row with a non-finite or negative weight, which validation names."""
+    valid = (np.isfinite(w) & (w >= 0)).all(axis=1).tolist()
+    try:
+        return np.array([math.fsum(r.tolist()) * base_mass if ok else math.nan
+                         for r, ok in zip(w, valid)])
+    except OverflowError:
+        raise NonFiniteValue("total mass overflows a float") from None
+
+
+def _weights(w: np.ndarray, base_mass: float, normalize: bool = False, check: bool = True):
+    """The rows of the float matrix ``w`` as the weights of measures, and their masses.
+
+    With ``normalize``, each row of positive mass is rescaled to mass one, in
+    place; with ``check``, the whole matrix is validated at once.
+    """
+    mass = _masses(w, base_mass)
+    if normalize:
+        rescale = mass > 0.0
+        np.divide(w, mass[:, None], out=w, where=rescale[:, None])
+        mass = np.where(rescale, _masses(w, base_mass), mass)
+    if check:
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteValue("weights must be finite")
+        negative = (w < 0).any(axis=1)
+        if negative.any():
+            raise NegativeWeight(f"negative weight at atom {int(np.argmin(w[np.argmax(negative)]))}")
+        if not np.all(mass > 0.0):
+            raise ZeroMass("total mass must be strictly positive")
+    return w, mass
+
+
 def _normalized(values, base_mass: float, normalize: bool, tol: float):
-    """``(values, is_probability)``; only a positive mass is rescaled, validation names the rest."""
-    v = np.asarray(values, dtype=float)
-    mass = math.fsum(v.ravel()) * base_mass
-    if normalize and mass > 0.0:
-        v = v / mass
-        mass = math.fsum(v.ravel()) * base_mass
+    """``(values, is_probability)`` of one measure, rescaled when asked; the constructor validates."""
+    v = np.array(values, dtype=float)
+    _, (mass,) = _weights(v.reshape(1, -1), base_mass, normalize, check=False)
     return v, abs(mass - 1.0) <= tol
 
 
@@ -337,23 +359,25 @@ def lebesgue_grid(lo: float, hi: float, n_cells: int) -> GridDensity:
 # conditional families
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalFamily:
+@dataclass(frozen=True, eq=False, init=False)
+class ConditionalFamily(_Atoms):
     """A probability measure over Y for each conditioning point x.
 
-    ``members[k]`` is the conditional law at point ``k`` of ``x_points``
-    (point data, or a :class:`PointSupport` to share).  All members must
-    share one Y-support and all must be probability measures.
+    Held as one read-only ``(n_x, n_y)`` matrix on one Y-support, ``domain``:
+    row ``k`` is the law at point ``k`` of ``x_points`` (point data, or a
+    :class:`PointSupport` to share).  The given ``members``, probability
+    measures on one Y-support, are stacked.  ``family[k]`` and ``members``
+    derive row measures only when asked; each is a view of its row.
     """
 
     x_points: PointSupport
-    members: tuple[Measure, ...]
+    domain: Union[PointSupport, GridSupport]
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
+    def __init__(self, x_points, members) -> None:
+        members = tuple(members)
         if len(members) == 0:
             raise EmptySupport("a conditional family needs at least one member")
-        x_points = _point_support(self.x_points)
+        x_points = _point_support(x_points)
         if x_points.n_atoms != len(members):
             raise IndexMismatch(
                 f"{x_points.n_atoms} conditioning points for {len(members)} members"
@@ -365,15 +389,37 @@ class ConditionalFamily:
                 raise RepresentationMismatch(
                     f"family member {k} uses a different Y-representation"
                 )
-        object.__setattr__(self, "x_points", x_points)
-        object.__setattr__(self, "members", members)
+        self.__dict__.update(x_points=x_points, domain=members[0].domain,
+                             log_density=_freeze([m.log_density for m in members]),
+                             _density=_freeze([m._density for m in members]))
 
     @property
     def n_x(self) -> int:
         return self.x_points.n_atoms
 
     def __getitem__(self, k: int) -> Measure:
-        return self.members[k]
+        k = range(self.n_x)[k]
+        return _derived(self.domain, True, log_density=self.log_density[k], _density=self._density[k])
+
+    members = property(lambda self: tuple(self[k] for k in range(self.n_x)))
+
+
+def _family(x_points: PointSupport, domain, **views) -> ConditionalFamily:
+    """A family on the support object ``domain`` holding the read-only matrix ``views`` as given."""
+    fam = object.__new__(ConditionalFamily)
+    fam.__dict__.update(views, x_points=x_points, domain=domain)
+    return fam
+
+
+def _probability_family(x_points: PointSupport, domain, w: np.ndarray) -> ConditionalFamily:
+    """The family of the rows of ``w``, a float matrix it takes over, rescaled to mass one
+    and validated as one matrix."""
+    w, mass = _weights(w, domain.base_mass, normalize=True)
+    is_probability = np.abs(mass - 1.0) <= domain.prob_tol
+    if not is_probability.all():
+        raise NonProbabilityMeasure(f"family member {int(np.argmin(is_probability))} is not a probability")
+    w.flags.writeable = False
+    return _family(x_points, domain, _density=w)
 
 
 def constant_family(x_points, p: Measure) -> ConditionalFamily:
@@ -450,19 +496,19 @@ class _Rows(NamedTuple):
     mass: Optional[np.ndarray]
 
 
-def _rows(measures) -> _Rows:
-    measures = list(measures)
-    domain = measures[0].domain
-    log = np.array([m.log_density for m in measures])
-    return _Rows(domain, log, np.array([m._density for m in measures]) * domain.base_mass)
+def _row(p: Measure) -> _Rows:
+    """``p`` as a stack of one row."""
+    return _Rows(p.domain, p.log_density[None], atom_masses(p)[None])
 
 
 def _live_rows(p_x: FiniteMeasure, *families: ConditionalFamily):
-    """The conditioning points carrying X-mass, their weights and each family's members there, stacked."""
+    """The conditioning points carrying X-mass, their weights and each family's rows there."""
     for cond in families:
         require_aligned(p_x, cond)
     live = np.flatnonzero(p_x.weights > 0)
-    return live, p_x.weights[live], [_rows(cond.members[k] for k in live) for cond in families]
+    rows = [_Rows(c.domain, c.log_density[live], c._density[live] * c.domain.base_mass)
+            for c in families]
+    return live, p_x.weights[live], rows
 
 
 def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
@@ -478,9 +524,8 @@ def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
     if not p_x.is_probability:
         raise NonProbabilityMeasure("the X-marginal must be a probability measure")
     require_aligned(p_x, cond)
-    stacked = np.stack([m.log_density for m in cond.members])
-    mixed = _logsumexp(stacked + p_x.log_density[:, None], axis=0)
-    return _derived(cond.members[0], mixed, True)
+    mixed = _logsumexp(cond.log_density + p_x.log_density[:, None], axis=0)
+    return _derived(cond.domain, True, log_density=_freeze(mixed))
 
 
 def mix(p: Measure, q: Measure, alpha: float) -> Measure:
@@ -496,7 +541,7 @@ def mix(p: Measure, q: Measure, alpha: float) -> Measure:
         raise AlphaOutOfRange(f"alpha must be in (0, 1), got {alpha!r}")
     require_same_representation(p, q)
     mixed = np.logaddexp(math.log(alpha) + p.log_density, math.log1p(-alpha) + q.log_density)
-    return _derived(p, mixed, p.is_probability and q.is_probability)
+    return _derived(p.domain, p.is_probability and q.is_probability, log_density=_freeze(mixed))
 
 
 def absolutely_continuous(p: Measure, q: Measure) -> bool:
@@ -506,7 +551,7 @@ def absolutely_continuous(p: Measure, q: Measure) -> bool:
     unequal supports are never absolutely continuous with respect to each
     other here (densities against different base measures are not compared).
     """
-    return not _escapes(_rows([p]), _rows([q]))[0]
+    return not _escapes(_row(p), _row(q))[0]
 
 
 def _escapes(p: _Rows, q: _Rows) -> np.ndarray:

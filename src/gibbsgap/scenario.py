@@ -60,6 +60,7 @@ from .measures import (
     ConditionalFamily,
     FiniteMeasure,
     Measure,
+    _probability_family,
     atom_masses,
     expectation,
     make_finite_measure,
@@ -125,21 +126,31 @@ def _num(value, where: str) -> float:
         return float(value)
     except ValueError:
         raise ScenarioError(f"{where}: cannot parse {value!r} as a number") from None
+    except OverflowError:
+        raise ScenarioError(f"{where}: {value!r} is too large for a float") from None
 
 
-def _num_list(values, where: str) -> list[float]:
+def _num_list(values, where: str) -> np.ndarray:
+    """A non-empty list of numbers as a float array.  A list of ``int`` and ``float``
+    entries only is converted in one call; any other goes entry by entry through
+    :func:`_num`, which names a bad entry."""
     if not isinstance(values, list) or not values:
         raise ScenarioError(f"{where}: expected a non-empty list of numbers")
-    return [_num(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass  # an integer too large for a float, named entry by entry
+    return np.array([_num(v, f"{where}[{i}]") for i, v in enumerate(values)])
 
 
-def _num_matrix(values, where: str) -> list[list[float]]:
+def _num_matrix(values, where: str) -> list[np.ndarray]:
     if not isinstance(values, list) or not values:
         raise ScenarioError(f"{where}: expected a non-empty list of rows")
     return [_num_list(row, f"{where}[{i}]") for i, row in enumerate(values)]
 
 
-def _points(values, where: str) -> list[list[float]]:
+def _points(values, where: str) -> list:
     """Points may be scalars or coordinate lists; normalize to vectors."""
     if not isinstance(values, list) or not values:
         raise ScenarioError(f"{where}: expected a non-empty list of points")
@@ -168,6 +179,9 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ScenarioError(f"{path}: invalid JSON: {e}") from None
+    del text  # not needed past parsing: free it before the matrices are built
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     schema = doc.get("schema")
@@ -213,11 +227,11 @@ def _build_scenario(doc: dict) -> Scenario:
         cost = CostTable.on_grid(x_points, lo, hi, n_y, cost_rows)
         build = functools.partial(make_grid_density, lo, hi)
 
-    def measure(raw, where: str, normalize: bool) -> Measure:
+    def vector(raw, where: str) -> np.ndarray:
         vals = _num_list(raw, where)
         if len(vals) != n_y:
             raise ScenarioError(f"{where}: {len(vals)} {unit.format(n_y)}")
-        return build(vals, normalize=normalize)
+        return vals
 
     # "counting" on a support and "lebesgue" on a grid: unit mass per atom
     raw_ref = doc["reference"]
@@ -226,9 +240,9 @@ def _build_scenario(doc: dict) -> Scenario:
     elif raw_ref in ("counting", "lebesgue"):
         raise ScenarioError(f"a {raw_ref!r} reference does not fit this Y-representation")
     else:
-        reference = measure(raw_ref, "reference", normalize=False)
+        reference = build(vector(raw_ref, "reference"), normalize=False)
 
-    lambdas = tuple(_num_list(doc.get("lambdas"), "lambdas"))
+    lambdas = tuple(_num_list(doc.get("lambdas"), "lambdas").tolist())
     for i, lam in enumerate(lambdas):
         if not math.isfinite(lam) or abs(lam) < 1e-12:
             raise ScenarioError(f"lambdas[{i}]: tilt parameters must satisfy |lam| >= 1e-12")
@@ -246,8 +260,15 @@ def _build_scenario(doc: dict) -> Scenario:
         where = f"families.{fam_name}"
         if not isinstance(rows, list) or len(rows) != len(x_points):
             raise ScenarioError(f"{where}: expected one row for each of {len(x_points)} x points")
-        members = tuple(measure(row, f"{where}[{k}]", normalize=True) for k, row in enumerate(rows))
-        families[fam_name] = ConditionalFamily(x_points=cost.x_points, members=members)
+        try:  # one matrix per family, normalized and validated at once
+            matrix = np.empty((len(rows), n_y))
+            for k, row in enumerate(rows):
+                matrix[k] = vector(row, f"{where}[{k}]")
+            families[fam_name] = _probability_family(cost.x_points, cost.y_support, matrix)
+        except GibbsGapError:
+            for k, row in enumerate(rows):  # the first faulty row raises what it raises alone
+                build(vector(row, f"{where}[{k}]"), normalize=True)
+            raise
 
     checks_doc = doc.get("pairs")
     if not isinstance(checks_doc, list) or not checks_doc:
@@ -435,8 +456,8 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
     tolerance = None
     if "tolerance" in c:
         tolerance = _num(c["tolerance"], f"{where}.tolerance")
-        if not tolerance > 0:
-            raise ScenarioError(f"{where}: tolerance must be positive")
+        if not 0 < tolerance < math.inf:
+            raise ScenarioError(f"{where}: tolerance must be finite and positive")
     label = c.get("name")
     if label is not None and not isinstance(label, str):
         raise ScenarioError(f"{where}: 'name' must be a string")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gibbsgap.divergences as divergences
 from gibbsgap import (
     ConditionalFamily,
     InfoSummary,
@@ -18,6 +19,7 @@ from gibbsgap import (
     lebesgue_grid,
     make_finite_measure,
     make_grid_density,
+    marginal_y,
     mutual_information,
     shannon_entropy,
 )
@@ -251,6 +253,24 @@ def test_info_summary_entropy_difference_is_mutual_information():
             s.cond_entropy_1 - s.cond_entropy_2, abs=1e-10
         )
         assert s.mutual >= 0.0 and s.lautum >= 0.0
+
+
+def test_info_summary_builds_the_marginal_once(monkeypatch):
+    fam = _fam([0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5])
+    p_x = _px(0.5, 0.0, 0.5)  # a zero-mass row is skipped by every term
+    calls = []
+
+    def counted(cond, px):
+        calls.append(1)
+        return marginal_y(cond, px)
+
+    monkeypatch.setattr(divergences, "marginal_y", counted)
+    s = info_summary(fam, p_x)
+    assert len(calls) == 1
+    assert s.mutual == mutual_information(fam, p_x)
+    assert s.lautum == lautum_information(fam, p_x)
+    assert s.cond_entropy_1 == shannon_entropy(marginal_y(fam, p_x))
+    assert s.cond_entropy_2 == conditional_entropy(fam, p_x)
 
 
 def test_info_summary_rejects_negative_information():

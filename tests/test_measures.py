@@ -11,6 +11,7 @@ from gibbsgap import (
     CostTable,
     DuplicatePoint,
     EmptySupport,
+    FiniteMeasure,
     GridDensity,
     IndexMismatch,
     NegativeWeight,
@@ -239,6 +240,41 @@ def test_marginal_checks_alignment():
     p_wrong = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
     with pytest.raises(IndexMismatch):
         marginal_y(fam, p_wrong)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_an_overflowing_total_mass_is_a_non_finite_value(normalize):
+    # each weight is finite, but their sum is not a float
+    with pytest.raises(NonFiniteValue, match="total mass"):
+        make_finite_measure([0, 1], [1e308, 1e308], normalize=normalize)
+    with pytest.raises(NonFiniteValue, match="total mass"):
+        make_grid_density(0.0, 1.0, [1e308, 1e308], normalize=normalize)
+    with pytest.raises(NonFiniteValue, match="total mass"):
+        FiniteMeasure([0, 1], [1e308, 1e308])
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_infinite_weights_of_both_signs_are_a_non_finite_value(normalize):
+    # fsum of inf and -inf raises a bare ValueError: the weights are checked first
+    with pytest.raises(NonFiniteValue, match="weights must be finite"):
+        make_finite_measure([0, 1], [math.inf, -math.inf], normalize=normalize)
+
+
+def test_a_family_is_one_matrix_and_its_members_are_row_views():
+    p = make_finite_measure(PTS, (0.6, 0.4))
+    q = make_finite_measure([[0.0], [1.0]], (0.2, 0.8))
+    fam = ConditionalFamily(x_points=[[0.0], [1.0]], members=(p, q))
+    assert fam.domain is p.domain and fam.n_x == 2
+    assert fam.log_density.shape == (2, 2) and not fam.log_density.flags.writeable
+    for k, m in enumerate((p, q)):
+        row = fam[k]
+        assert type(row) is FiniteMeasure and row.domain is fam.domain and row.is_probability
+        assert np.shares_memory(row.weights, fam.members[k].weights)  # views, not copies
+        assert row.weights.tobytes() == m.weights.tobytes()
+        assert row.log_density.tobytes() == m.log_density.tobytes()
+    assert fam[-1].weights.tolist() == [0.2, 0.8]
+    with pytest.raises(IndexError):
+        fam[2]
 
 
 def test_family_members_must_be_probabilities():

@@ -13,6 +13,7 @@ from gibbsgap import (
     ScenarioError,
     generate_scenarios,
     load_scenario,
+    make_finite_measure,
     render_json,
     render_text,
     run_scenario_file,
@@ -178,6 +179,13 @@ def test_missing_file_exits_2(tmp_path):
         lambda d: d["pairs"].append({"op": "gibbs_marginal_gap", "x_index": 0}),
         lambda d: d.update(schema=True),  # a bool is not the integer 1
         lambda d: d.update(schema=1.0),
+        lambda d: d["families"].update(huge=[[10**400, 1]]),  # an integer too large for a float
+        lambda d: d.update(cost=[[0.0, 10**400]]),
+        lambda d: d.update(lambdas=[10**400]),
+        lambda d: d["families"].update(huge=[["1e308", "1e308"]]),  # the total mass overflows
+        lambda d: d.update(reference=[1e308, 1e308]),
+        lambda d: d["pairs"][0].update(tolerance="inf"),
+        lambda d: d["pairs"][0].update(tolerance=float("nan")),
     ],
 )
 def test_schema_violations_raise_scenario_error(tmp_path, mutate):
@@ -189,6 +197,58 @@ def test_schema_violations_raise_scenario_error(tmp_path, mutate):
         load_scenario(path)
     code, _, err = _cli("verify", path)
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1e-10", "inf", "nan"])
+def test_cli_tolerance_must_be_finite_and_positive(tolerance):
+    code, out, err = _cli("verify", TWO_POINT, f"--tolerance={tolerance}")
+    assert code == 2 and out == ""
+    assert err == "error: --tolerance must be finite and positive\n"
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(TWO_POINT.read_text().replace('"lambdas": [', '"lambdas": [' + "9" * 5000 + ", "))
+    code, _, err = _cli("verify", path)
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[-1, 2], ["x", 1]], "NegativeWeight: negative weight at atom 0"),
+        ([[1, 1], ["x", 1]], "families.bad[1][0]: cannot parse 'x' as a number"),
+        ([[1, 1], [True, 1]], "families.bad[1][0]: expected a number, got True"),
+        ([[1, 1], [1, 10**400]], "families.bad[1][1]: " + str(10**400) + " is too large for a float"),
+        ([[1, 1], [1e308, 1e308]], "NonFiniteValue: total mass overflows a float"),
+        ([[1, -2], [1e308, 1e308]], "NegativeWeight: negative weight at atom 1"),
+        ([[0, 0], [3, -4]], "ZeroMass: total mass must be strictly positive"),
+        ([[1, 2], [3, -4]], "NegativeWeight: negative weight at atom 1"),
+        ([[1, 2], [float("inf"), 1]], "NonFiniteValue: weights must be finite"),
+        ([[1, 2], [float("inf"), float("-inf")]], "NonFiniteValue: weights must be finite"),
+        ([[1, 2], [1]], "families.bad[1]: 1 weights for 2 support points"),
+    ],
+)
+def test_a_family_reports_its_first_faulty_row(tmp_path, rows, message):
+    # the rows are parsed and validated as one matrix; the error is the one the
+    # first faulty row raises on its own, in row order
+    doc = json.loads(VIOLATION.read_text())
+    doc["families"]["bad"] = rows
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _cli("verify", path)
+    assert code == 2 and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(message)
+
+
+@pytest.mark.parametrize("name", ["two_point", "designed_violation"])
+def test_reports_match_the_golden_files(name):
+    # tests/data holds `verify --format json` of the bundled scenarios without
+    # wall_time_s; a change that claims byte-identical reports keeps them
+    report, code = run_scenario_file(REPO / "scenarios" / f"{name}.json")
+    del report["wall_time_s"]
+    assert code == 0
+    assert render_json(report) == (REPO / "tests" / "data" / f"{name}.report.json").read_text()
 
 
 def test_bool_grid_cell_count_exits_2_naming_the_field(tmp_path):
@@ -282,6 +342,23 @@ def test_decimal_string_weights_round_to_nearest(tmp_path):
     path.write_text(json.dumps(doc))
     scn = load_scenario(path)
     assert scn.families["strings"][0].weights[0] == 0.1  # same float as the literal
+
+
+def test_a_loaded_family_is_one_matrix_of_normalized_rows(tmp_path):
+    doc = json.loads(TWO_POINT.read_text())
+    rows = [[0.1, 0.7], ["0.3", 0.2]]
+    doc.update(x_points=[[0.0], [1.0]], cost=[[0.0, 1.0], [1.0, 0.0]], p_x=[1, 1],
+               families={"mixed": rows}, pairs=[{"op": "marginal_gap", "family": "mixed"}])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    scn = load_scenario(path)
+    fam = scn.families["mixed"]
+    assert fam.domain is scn.cost.y_support
+    for k, row in enumerate(rows):
+        want = make_finite_measure(scn.cost.y_support, [float(v) for v in row], normalize=True)
+        assert fam[k].weights.tobytes() == want.weights.tobytes()  # the same per-row fsum
+        assert fam[k].is_probability and fam[k].domain is fam.domain
+        assert not fam[k].weights.flags.writeable
 
 
 def test_family_rows_are_normalized_on_load(tmp_path):

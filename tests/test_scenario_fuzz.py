@@ -5,18 +5,27 @@ key or list entry, replace a value by one of another type or out of range,
 or add to a check a key that belongs to another op.  Whatever comes out,
 ``verify`` must return 0, 1 or 2, and an input error must be one
 ``error:`` line; no exception may escape.
+
+A differential test checks that the one-call parse of an all-number row
+and the entry-by-entry parse agree bit for bit, and reject alike.
 """
 
 import contextlib
 import copy
 import io
 import json
+import struct
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbsgap import ScenarioError
 from gibbsgap.cli import main
+from gibbsgap.scenario import _num, _num_list
 
 REPO = Path(__file__).resolve().parent.parent
 BASES = [json.loads(p.read_text()) for p in sorted((REPO / "scenarios").glob("*.json"))]
@@ -90,3 +99,44 @@ def test_mutated_scenarios_never_escape_verify(tmp_path_factory, data):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     else:
         assert "summary:" in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the two parse paths of a numeric row: a row of JSON numbers only is
+# converted in one NumPy call, any other row entry by entry by ``_num``
+
+MAX_INT = int(sys.float_info.max)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2**53 + 1]),
+    st.integers(-(2**64), 2**64),
+    st.integers(-MAX_INT, MAX_INT),
+    st.integers(2**1023, MAX_INT),
+)
+NOT_NUMBERS = st.one_of(
+    st.booleans(), st.none(), st.just([1.0]), st.sampled_from(["x", "", "1.0.0", "0x10"]),
+    st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NUMBERS, min_size=1, max_size=40))
+def test_bulk_row_parse_gives_the_bits_of_the_entrywise_parse(row):
+    bulk = _num_list(row, "row")
+    each = [_num(v, f"row[{i}]") for i, v in enumerate(row)]
+    assert bulk.dtype == np.float64
+    assert bulk.tobytes() == struct.pack(f"{len(each)}d", *each)
+    assert each == [float(v) for v in row]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NUMBERS, min_size=1, max_size=20), NOT_NUMBERS, st.data())
+def test_a_row_with_a_non_number_is_rejected_by_name(row, bad, data):
+    i = data.draw(st.integers(0, len(row)))
+    row.insert(i, bad)
+    with pytest.raises(ScenarioError) as whole:
+        _num_list(row, "row")
+    with pytest.raises(ScenarioError) as entry:
+        _num(bad, f"row[{i}]")
+    assert str(whole.value) == str(entry.value)
+    assert str(whole.value).startswith(f"row[{i}]: ")
