@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -156,6 +157,8 @@ class GridSupport:
             raise EmptySupport("a grid needs at least one cell")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not math.isfinite(self.cell_width):
+            raise NonFiniteValue(f"the cell width of [{self.lo}, {self.hi}) overflows a float")
 
     n_atoms = property(lambda self: self.n_cells)
     cell_width = base_mass = property(lambda self: (self.hi - self.lo) / self.n_cells)
@@ -272,18 +275,99 @@ def total_mass(p: Measure) -> float:
 
 
 # ---------------------------------------------------------------------------
+# row sums
+
+#: The entry count from which ``_fsum_rows`` sums all rows at once: below it,
+#: the cascade's fixed NumPy cost per level loses to one ``math.fsum`` per row.
+_CASCADE_MIN = 4096
+
+
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth), elementwise."""
+    s = a + b
+    bb = s - a
+    e = s - bb
+    np.subtract(a, e, out=e)
+    e += np.subtract(b, bb, out=bb)
+    return s, e
+
+
+def _cascade(x: np.ndarray):
+    """Each row's sum by a pairwise TwoSum cascade, and where it is proven to be ``fsum``'s.
+
+    A row of ``n >= 1`` entries sums exactly to the cascade's result ``r`` plus
+    its TwoSum errors, whose float sum ``t`` is within ``4 n u a`` of theirs,
+    with ``u = 2**-53`` and ``a`` the float sum of their magnitudes (Ogita,
+    Rump and Oishi 2005).  ``s = fl(r + t)`` is then the correctly rounded sum,
+    which ``fsum`` returns, when the exact rest ``r + t - s``, widened by that
+    bound, stays below half the gap from ``s`` to its neighbour on each side;
+    a row with no error is exact.  A row with an entry of ``|x| >= 2**1022 / n``
+    is not proven: the cascade or ``fsum`` may overflow there.
+    """
+    n = x.shape[1]
+    with np.errstate(all="ignore"):  # a non-finite row is never proven
+        safe = max(x.max(), -x.min()) * n < 2.0**1022 or np.abs(x).max(axis=1) * n < 2.0**1022
+        carry = t = a = np.zeros(len(x))  # the odd column of a level goes to carry
+        while x.shape[1] > 1:
+            h = x.shape[1] // 2
+            if x.shape[1] % 2:
+                carry, e = _two_sum(carry, x[:, 2 * h])
+                t, a = t + e, a + np.abs(e)
+            x, e = _two_sum(x[:, :h], x[:, h:2 * h])
+            t, a = t + e.sum(axis=1), a + np.abs(e, out=e).sum(axis=1)
+        r, e = _two_sum(x[:, 0], carry)
+        s, rest = _two_sum(r, t + e)
+        a = a + np.abs(e)
+        bound = np.nextafter(a * (n * 2.0**-51), math.inf)
+        above = np.nextafter(rest + bound, math.inf)  # the exact sum is in [s + below, s + above]
+        below = np.nextafter(rest - bound, -math.inf)
+        inside = (2 * above < np.nextafter(s, math.inf) - s) & (2 * below > np.nextafter(s, -math.inf) - s)
+        proven = safe & np.isfinite(s) & ((a == 0) | inside)
+    return s + 0.0, proven  # an exact zero sum is +0.0, as in fsum
+
+
+def _fsum_rows(x: np.ndarray, live: Optional[np.ndarray] = None) -> list[float]:
+    """``math.fsum`` of each row of the float matrix ``x``, bit for bit, or the error it raises.
+
+    With ``live``, a boolean matrix of ``x``'s shape, row ``k`` sums the entries
+    of ``x[k]`` where ``live[k]`` is true, and ``x`` must be zero elsewhere.  A
+    call of ``_CASCADE_MIN`` entries or more sums every row at once by
+    ``_cascade``; a row it does not prove (non-finite, near overflow, a tie,
+    deep cancellation) is one ``fsum``, in row order.
+    """
+    def fsums(rows) -> list[float]:
+        values = x[rows].tolist()
+        if live is None:
+            return [math.fsum(v) for v in values]
+        return [math.fsum(compress(v, m)) for v, m in zip(values, live[rows].tolist())]
+
+    if x.size < _CASCADE_MIN:
+        return fsums(slice(None))
+    sums, proven = _cascade(x)
+    out = sums.tolist()
+    refused = np.flatnonzero(~proven)
+    for k, v in zip(refused.tolist(), fsums(refused)):
+        out[k] = v
+    return out
+
+
+# ---------------------------------------------------------------------------
 # construction helpers
 
 
 def _masses(w: np.ndarray, base_mass: float) -> np.ndarray:
-    """Each row's total mass: one ``fsum`` of the row, times ``base_mass``; NaN on a
+    """Each row's total mass: the ``fsum`` of the row, times ``base_mass``; NaN on a
     row with a non-finite or negative weight, which validation names."""
-    valid = (np.isfinite(w) & (w >= 0)).all(axis=1).tolist()
+    valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
+    ok = valid.tolist()
     try:
-        return np.array([math.fsum(r.tolist()) * base_mass if ok else math.nan
-                         for r, ok in zip(w, valid)])
-    except OverflowError:
+        sums = _fsum_rows(w if all(ok) else np.where(valid[:, None], w, 0.0))
+    except OverflowError:  # the exact sum of the weights is past the largest float
         raise NonFiniteValue("total mass overflows a float") from None
+    mass = [s * base_mass if v else math.nan for s, v in zip(sums, ok)]
+    if math.inf in mass:  # the sum is a float, its product with the cell width is not
+        raise NonFiniteValue("total mass overflows a float")
+    return np.array(mass)
 
 
 def _weights(w: np.ndarray, base_mass: float, normalize: bool = False, check: bool = True):
@@ -475,12 +559,9 @@ def expectation(f, p: Measure) -> float:
 
 def _mean_rows(f: np.ndarray, masses: np.ndarray) -> list[float]:
     """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass."""
-    if f.shape != masses.shape:
-        f, masses = np.broadcast_arrays(f, masses)
-    live = masses > 0
-    flat = f[live] * masses[live]  # the live products, row after row
-    ends = live.sum(axis=-1).cumsum().tolist()
-    return [math.fsum(flat[a:b].tolist()) for a, b in zip([0] + ends, ends)]
+    shape = np.broadcast(f, masses).shape
+    live = np.greater(masses, 0.0, out=np.empty(shape, dtype=bool))
+    return _fsum_rows(np.multiply(f, masses, out=np.zeros(shape), where=live), live)
 
 
 def _average(weights, rows) -> float:

@@ -181,6 +181,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # an integer literal past Python's digit limit
         raise ScenarioError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
     del text  # not needed past parsing: free it before the matrices are built
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
+from gibbsgap.measures import _CASCADE_MIN, GridSupport, _cascade, _fsum_rows
 
 PTS = [[0.0], [1.0]]
 
@@ -254,6 +256,20 @@ def test_an_overflowing_total_mass_is_a_non_finite_value(normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+def test_a_total_mass_overflowing_with_the_cell_width_is_a_non_finite_value(normalize):
+    # the weights sum to 2e300, a float; times the cell width 5e299 they do not
+    with pytest.raises(NonFiniteValue, match="total mass overflows a float"):
+        make_grid_density(0.0, 1e300, [1e300, 1e300], normalize=normalize)
+
+
+def test_an_infinite_cell_width_is_a_non_finite_value():
+    with pytest.raises(NonFiniteValue, match="cell width"):
+        GridSupport(-1e308, 1e308, 4)
+    with pytest.raises(NonFiniteValue, match="cell width"):
+        GridDensity(-1e308, 1e308, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 def test_infinite_weights_of_both_signs_are_a_non_finite_value(normalize):
     # fsum of inf and -inf raises a bare ValueError: the weights are checked first
     with pytest.raises(NonFiniteValue, match="weights must be finite"):
@@ -421,3 +437,94 @@ def test_constructors_copy_the_callers_arrays():
     for got, want in zip(held, kept):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(h.y_support.points, kept[0])
+
+
+# ---------------------------------------------------------------------------
+# the row sum: math.fsum of every row, bit for bit
+
+
+def _fsum(values):
+    """``math.fsum`` as its bit pattern, or the type and message of what it raises."""
+    try:
+        return struct.pack("<d", math.fsum(values))
+    except (OverflowError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _outcome(x, live=None):
+    """``_fsum_rows`` as the bit patterns of its rows, or what it raises."""
+    try:
+        return [struct.pack("<d", v) for v in _fsum_rows(x, live)]
+    except (OverflowError, ValueError) as e:
+        return type(e), str(e)
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and 1e±300 included
+_ENTRIES = st.one_of(
+    _WIDE,
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, 2.0**-53]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+_SPECIAL_ROWS = st.sampled_from([
+    [0.0], [-0.0], [-0.0, -0.0, -0.0], [0.0] * 9,
+    [1.0, 2.0**-53], [3.0, -(2.0**-52)], [2.0**53, 1.0, 0.0],  # exact ties, rounded half-even
+    [1.0, -(2.0**-54)], [1.0, -(2.0**-55)], [0.5, 2.0**-55, -(2.0**-57)],  # by a power of two
+    [1e308, 5e307, 1e308, -1e308],  # the cascade does not overflow here, fsum does
+    [1e308, 1e308], [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 0.0],
+])
+
+
+@st.composite
+def _cancelled(draw):
+    """``x`` and ``-x + eps`` for a few ``x``, shuffled: the sum is the planted ``eps``s."""
+    xs = draw(st.lists(_WIDE, min_size=1, max_size=35))
+    eps = draw(st.lists(st.sampled_from([0.0, 2.0**-60, 1e-300, 5e-324, 1e-20]),
+                        min_size=len(xs), max_size=len(xs)))
+    return draw(st.permutations(xs + [-x + e for x, e in zip(xs, eps)]))
+
+
+_ROWS = st.lists(
+    st.one_of(st.lists(_ENTRIES, min_size=1, max_size=70), _SPECIAL_ROWS, _cancelled()),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_ROWS, seed=st.integers(0, 2**32 - 1))
+def test_the_row_sum_is_fsum_bit_for_bit(rows, seed):
+    # one long row puts the call past _CASCADE_MIN entries; a row the cascade
+    # proves ([1, 2]) and one it must hand to fsum (a tie) are always present
+    long_row = np.random.default_rng(seed).standard_normal(_CASCADE_MIN).tolist()
+    rows = rows + [long_row, [1.0, 2.0], [1.0, 2.0**-53]]
+    width = max(map(len, rows))
+    x = np.zeros((len(rows), width))
+    live = np.zeros(x.shape, dtype=bool)
+    for k, r in enumerate(rows):
+        x[k, :len(r)], live[k, :len(r)] = r, True
+    with np.errstate(all="raise"):  # the cascade leaks no floating-point error
+        proven = _cascade(x)[1]
+    assert proven.any() and not proven.all()  # both paths ran
+
+    # with a mask, row k is fsum of its own entries; without, of the whole padded row
+    for mask, lists in ((live, rows), (None, x.tolist())):
+        want = [_fsum(r) for r in lists]
+        raised = [w for w in want if isinstance(w, tuple)]
+        if raised:  # the first row that raises decides, in row order
+            assert _outcome(x, mask) == raised[0]
+            keep = [k for k, w in enumerate(want) if not isinstance(w, tuple)]
+            x_kept = x[keep]
+            mask_kept = None if mask is None else mask[keep]
+            want = [want[k] for k in keep]
+        else:
+            x_kept, mask_kept = x, mask
+        assert _outcome(x_kept, mask_kept) == want
+
+
+def test_a_small_call_sums_each_row_by_fsum():
+    x = np.array([[1.0, 2.0**-53, 0.0], [0.1, 0.2, 0.3], [1e308, 5e307, 1e308]])
+    assert x.size < _CASCADE_MIN
+    live = np.array([[True, True, False], [True, True, True], [True, True, True]])
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        _fsum_rows(x, live)
+    assert _fsum_rows(x[:2], live[:2]) == [1.0, math.fsum([0.1, 0.2, 0.3])]
