@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import (
+    GibbsGapError,
     IndexMismatch,
     InfiniteDivergence,
     InfiniteLogPartition,
@@ -147,12 +148,24 @@ class CostTable:
 def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
     """``log integral exp(t * h(x, y)) dQ(y)`` at one conditioning point.
 
-    Max-shifted log-sum-exp: never overflows, never raises; extended-real
-    return (``-inf`` cannot occur since Q has positive mass, ``+inf`` only
-    if ``t*h`` overflows the shift, which finite inputs do not).
+    Max-shifted log-sum-exp, so no exponential overflows.  The value is
+    extended-real: ``+inf`` when ``t * h`` overflows to ``+inf`` on an atom
+    of Q, ``-inf`` when it overflows to ``-inf`` on every atom of Q.
+
+    Raises
+    ------
+    ValueError
+        if ``t`` is not finite.
+    RepresentationMismatch
+        if ``q`` does not live on ``h``'s Y-support.
+    IndexMismatch
+        if ``x_index`` is not a row of ``h``.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"tilt t must be finite, got {t!r}")
     h.require_matches(q)
-    _, k_val = _tilt_rows(h.row(x_index)[None], q.log_density, float(t), q.domain.base_mass)
+    _, k_val = _tilt_rows(h.row(x_index)[None], q.log_density, t, q.domain.base_mass)
     return float(k_val[0])
 
 
@@ -284,6 +297,77 @@ def free_energy_identities(
     )
 
 
+class _OracleRow(NamedTuple):
+    """A certified oracle row: the iterate's and the Gibbs tilt's log atoms on Q's support,
+    the objective ``E_P[h] + kl(P, Q)/lam`` and the closed-form free energy."""
+
+    log_p: np.ndarray
+    log_g: np.ndarray
+    objective: float
+    free_energy: float
+
+
+def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int) -> list:
+    """The variational oracle at every tilt of ``lams``, one row per tilt, stepped in lockstep.
+
+    One :func:`_tilt_rows` call tilts row ``x_index`` at every tilt; the rows
+    then step together, each frozen at its own certificate or stopped with its
+    own error.  Row ``k`` does the arithmetic of a call at ``lams[k]`` alone, so
+    it holds the same bits.  Returns, per tilt, an :class:`_OracleRow` or the
+    :class:`InfiniteLogPartition` or :class:`NonConvergence` raised at that tilt.
+    """
+    if not isinstance(q, FiniteMeasure):
+        raise RepresentationMismatch("the variational oracle works on finite supports")
+    lams = [_require_lambda(lam) for lam in lams]
+    h.require_matches(q)
+    col = np.array(lams)[:, None]
+    a, k_vals = _tilt_rows(h.row(x_index)[None], q.log_density, -col, q.domain.base_mass)
+    tol = np.minimum(1e-10, 2e-10 / np.abs(col[:, 0]))
+    out: list = [None if math.isfinite(k) else InfiniteLogPartition(f"log-partition value is {k!r}")
+                 for k in k_vals.tolist()]
+
+    live = q.log_density > -math.inf
+    h_live = h.row(x_index)[live][None]  # on the atoms of Q
+    log_qa = q.log_density[live][None]
+    rows = np.flatnonzero(np.isfinite(k_vals))  # the tilt of each row still stepping
+    log_p = np.repeat(log_qa - _logsumexp(log_qa), rows.size, axis=0)
+    final, n_steps = np.empty((len(lams), log_qa.shape[1])), [0] * len(lams)
+    lam, row_tol, steps = col[rows], tol[rows], 0
+    while rows.size:
+        grad = h_live + (log_p - log_qa + 1.0) / lam
+        resid = grad.max(axis=1) - grad.min(axis=1)
+        done = resid <= row_tol
+        stop = done | (steps >= iters)
+        if stop.any():
+            for i in np.flatnonzero(stop).tolist():
+                k = rows[i]
+                if done[i]:
+                    final[k], n_steps[k] = log_p[i], steps
+                else:
+                    out[k] = NonConvergence(f"residual {float(resid[i])!r} > {float(tol[k])!r} "
+                                            f"after {steps} iterations")
+            go = ~stop
+            rows, lam, row_tol, log_p, grad = rows[go], lam[go], row_tol[go], log_p[go], grad[go]
+        log_p -= 0.5 * lam * grad
+        log_p -= _logsumexp(log_p, axis=-1)[:, None]
+        steps += 1
+
+    ok = [k for k, row in enumerate(out) if row is None]  # the certified rows
+    log_p = final[ok]
+    p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
+    for k, mean, div in zip(ok, _mean_rows(h_live, p), _kl_rows(p, log_p, log_qa), strict=True):
+        value, free_energy = mean + div / lams[k], -float(k_vals[k]) / lams[k]
+        if abs(value - free_energy) > 1e-6:
+            out[k] = NonConvergence(
+                f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
+                f"after {n_steps[k]} iterations")
+            continue
+        log_full = np.full(live.shape, -math.inf)
+        log_full[live] = final[k]
+        out[k] = _OracleRow(log_full, a[k] - k_vals[k], value, free_energy)
+    return out
+
+
 def variational_oracle(
     h: CostTable,
     q: FiniteMeasure,
@@ -307,38 +391,10 @@ def variational_oracle(
     :class:`~gibbsgap.errors.NonConvergence` is raised: the iterate is never
     silently returned as if optimal.  ``seed`` is kept for existing callers
     and no longer affects the result.  Finite-support references only.
+    This is the one-tilt case of the scenario runner's oracle, which steps
+    all of a check's tilts as rows of one loop.
     """
-    if not isinstance(q, FiniteMeasure):
-        raise RepresentationMismatch("the variational oracle works on finite supports")
-    lam = _require_lambda(lam)
-    h.require_matches(q)
-    k_vals = _gibbs_rows(h.row(x_index)[None], q.log_density, lam, q.domain.base_mass)[1]
-    free_energy = -float(k_vals[0]) / lam
-    tol = min(1e-10, 2e-10 / abs(lam))
-
-    live = q.log_density > -math.inf
-    h_live = h.row(x_index)[live][None]  # one row on the atoms of Q
-    log_qa = q.log_density[live][None]
-    log_p = log_qa - _logsumexp(log_qa)
-    steps = 0
-    while True:
-        grad = h_live + (log_p - log_qa + 1.0) / lam
-        resid = float(np.max(grad) - np.min(grad))
-        if resid <= tol:
-            break
-        if steps >= iters:
-            raise NonConvergence(f"residual {resid!r} > {tol!r} after {steps} iterations")
-        log_p -= 0.5 * lam * grad
-        log_p -= _logsumexp(log_p)
-        steps += 1
-
-    p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
-    value = _mean_rows(h_live, p)[0] + _kl_rows(p, log_p, log_qa)[0] / lam
-    if abs(value - free_energy) > 1e-6:
-        raise NonConvergence(
-            f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
-            f"after {steps} iterations"
-        )
-    log_full = np.full(live.shape, -math.inf)
-    log_full[live] = log_p[0]
-    return _derived(q.domain, True, log_density=_freeze(log_full))
+    (row,) = _oracle_rows(h, q, [lam], x_index, iters)
+    if isinstance(row, GibbsGapError):
+        raise row
+    return _derived(q.domain, True, log_density=_freeze(row.log_p))

@@ -95,11 +95,12 @@ def _logsumexp(a, b=None, axis=None):
     a = np.asarray(a, dtype=float)
     if b is not None:
         a = np.where(np.asarray(b) != 0, a, -math.inf)
-    shift = np.max(a, axis=axis, keepdims=True)
+    shift = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    terms = np.exp(a - shift) if b is None else b * np.exp(a - shift)
-    with np.errstate(divide="ignore"):  # an empty sum is a legal -inf
-        return np.squeeze(np.log(np.sum(terms, axis=axis, keepdims=True)) + shift, axis=axis)
+    # exp overflows only next to a +inf entry, and an empty sum is -inf: both legal
+    with np.errstate(over="ignore", divide="ignore"):
+        terms = np.exp(a - shift) if b is None else b * np.exp(a - shift)
+        return np.squeeze(np.log(terms.sum(axis=axis, keepdims=True)) + shift, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,9 @@ class GridSupport:
         object.__setattr__(self, "hi", float(self.hi))
         if not math.isfinite(self.cell_width):
             raise NonFiniteValue(f"the cell width of [{self.lo}, {self.hi}) overflows a float")
+        if not self.cell_width > 0.0:
+            raise ValueError(f"the cell width of [{self.lo}, {self.hi}) over {self.n_cells} cells "
+                             f"is {self.cell_width!r}, not positive")
 
     n_atoms = property(lambda self: self.n_cells)
     cell_width = base_mass = property(lambda self: (self.hi - self.lo) / self.n_cells)

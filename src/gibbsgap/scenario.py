@@ -3,9 +3,11 @@
 A scenario is a JSON document (``"schema": 1``) describing one experiment:
 a Y-representation, conditioning points, a cost table, a reference
 measure, a list of tilt parameters, an X-marginal, named conditional
-families, and a list of identity checks (``"pairs"``).  Every check is run
-once per tilt parameter, in declaration order, and the outcome is a report
-with one record per (check, lambda).
+families, and a list of identity checks (``"pairs"``).  Every check runs
+at all the tilt parameters in one op call, in declaration order, and the
+outcome is a report with one record per (check, lambda).  The variational
+oracle steps its tilts as the rows of one loop; the other ops run once per
+tilt.  The results are those of one call per tilt.
 
 Numeric scenario fields may be JSON numbers or decimal strings
 (``"0.1"``); strings go through ordinary round-to-nearest float parsing,
@@ -40,7 +42,6 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import GibbsGapError, ScenarioError
-from .divergences import kl
 from .gaps import (
     expected_gap_closed_form,
     expected_gap_relative,
@@ -50,19 +51,12 @@ from .gaps import (
     gibbs_marginal_gap,
     marginal_gap,
 )
-from .gibbs import (
-    CostTable,
-    free_energy_identities,
-    gibbs_tilt,
-    variational_oracle,
-)
+from .gibbs import CostTable, _oracle_rows, free_energy_identities, gibbs_tilt
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
     Measure,
     _probability_family,
-    atom_masses,
-    expectation,
     make_finite_measure,
     make_grid_density,
 )
@@ -293,8 +287,9 @@ def _build_scenario(doc: dict) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # the op table: each op's identity tag, parameters and runner, declared once.
+# A runner receives all of a check's tilts and returns one outcome per tilt.
 # Parameters are validated against ``_PARAMS`` at load time, so a runner
-# raises only the library's errors, and those are check outcomes.
+# meets only the library's errors, and those are check outcomes.
 
 #: Largest oracle ``iters`` a check may ask for.  The oracle halves its
 #: distance to the optimum on every step and certifies within tens of steps;
@@ -370,60 +365,80 @@ def _free_energy(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
     }
 
 
-def _oracle(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
-    xi = p["x_index"]
-    opt = variational_oracle(scn.cost, scn.reference, lam, xi, iters=p["iters"], seed=p["seed"])
-    objective = expectation(scn.cost.row(xi), opt) + kl(opt, scn.reference) / lam
-    g = gibbs_tilt(scn.cost, scn.reference, lam, xi)
-    tv = 0.5 * float(np.abs(atom_masses(opt) - atom_masses(g.measure)).sum())
-    return {
-        "direct": objective,
-        "closed_form": g.free_energy,
-        "discrepancy": abs(objective - g.free_energy),
-        "terms": {"objective": objective, "total_variation": tv},
-    }
+def _oracle(scn: Scenario, p: dict, lams) -> list:
+    """The oracle at every tilt in one call: its rows carry the objective and the tilt
+    that the record compares."""
+    try:
+        rows = _oracle_rows(scn.cost, scn.reference, lams, p["x_index"], p["iters"])
+    except GibbsGapError as e:  # raised before any tilt, so raised at each
+        return [e] * len(lams)
+    return [row if isinstance(row, GibbsGapError) else {
+        "direct": row.objective,
+        "closed_form": row.free_energy,
+        "discrepancy": abs(row.objective - row.free_energy),
+        "terms": {"objective": row.objective, "total_variation":
+                  0.5 * float(np.abs(np.exp(row.log_p) - np.exp(row.log_g)).sum())},
+    } for row in rows]
+
+
+def _each_tilt(run: Callable[[Scenario, dict, float], dict[str, Any]]):
+    """The op that calls ``run`` once per tilt, for an op with no tilt axis of its own."""
+    def run_all(scn: Scenario, p: dict, lams) -> list:
+        out = []
+        for lam in lams:
+            try:
+                out.append(run(scn, p, lam))
+            except GibbsGapError as e:  # its traceback would keep the failed call's arrays
+                out.append(e.with_traceback(None))
+        return out
+    return run_all
 
 
 class _Op(NamedTuple):
     tag: str
     params: tuple[str, ...]
-    run: Callable[[Scenario, dict, float], dict[str, Any]]
+    # (scenario, params, lambdas) -> one outcome per lambda: the record fields or the
+    # GibbsGapError raised at that lambda
+    run: Callable[[Scenario, dict, tuple[float, ...]], list]
+
+
+def _gap_op(tag: str, params: tuple[str, ...], gap) -> _Op:
+    """The op of the decomposition ``gap(scn, params, lam)``, run once per tilt."""
+    return _Op(tag, params, _each_tilt(lambda scn, p, lam: _fields(gap(scn, p, lam))))
 
 
 _OPS = {
-    "gap_closed_form": _Op(
+    "gap_closed_form": _gap_op(
         "gap-common-reference", ("x_index", "p1", "p2"),
-        lambda scn, p, lam: _fields(gap_closed_form(scn.cost, *_pair(p), scn.reference, lam)),
+        lambda scn, p, lam: gap_closed_form(scn.cost, *_pair(p), scn.reference, lam),
     ),
-    "gap_closed_form_relative": _Op(
+    "gap_closed_form_relative": _gap_op(
         "gap-relative-reference", ("x_index", "p1", "p2", "direction"),
-        lambda scn, p, lam: _fields(
-            gap_closed_form_relative(scn.cost, *_pair(p), p["direction"], lam)),
+        lambda scn, p, lam: gap_closed_form_relative(scn.cost, *_pair(p), p["direction"], lam),
     ),
-    "gap_mixture_reference": _Op(
+    "gap_mixture_reference": _gap_op(
         "gap-mixture-reference", ("x_index", "p1", "p2", "alpha"),
-        lambda scn, p, lam: _fields(gap_mixture_reference(scn.cost, *_pair(p), p["alpha"], lam)),
+        lambda scn, p, lam: gap_mixture_reference(scn.cost, *_pair(p), p["alpha"], lam),
     ),
-    "expected_gap_closed_form": _Op(
+    "expected_gap_closed_form": _gap_op(
         "expected-gap-common-reference", ("family1", "family2"),
-        lambda scn, p, lam: _fields(expected_gap_closed_form(
-            scn.cost, p["family1"], p["family2"], scn.p_x, scn.reference, lam)),
+        lambda scn, p, lam: expected_gap_closed_form(
+            scn.cost, p["family1"], p["family2"], scn.p_x, scn.reference, lam),
     ),
-    "expected_gap_relative": _Op(
+    "expected_gap_relative": _gap_op(
         "expected-gap-relative-reference", ("family1", "family2", "direction"),
-        lambda scn, p, lam: _fields(expected_gap_relative(
-            scn.cost, p["family1"], p["family2"], scn.p_x, p["direction"], lam)),
+        lambda scn, p, lam: expected_gap_relative(
+            scn.cost, p["family1"], p["family2"], scn.p_x, p["direction"], lam),
     ),
-    "marginal_gap": _Op(
+    "marginal_gap": _gap_op(
         "marginal-gap-information", ("family",),
-        lambda scn, p, lam: _fields(
-            marginal_gap(scn.cost, p["family"], scn.p_x, scn.reference, lam)),
+        lambda scn, p, lam: marginal_gap(scn.cost, p["family"], scn.p_x, scn.reference, lam),
     ),
-    "gibbs_marginal_gap": _Op(
+    "gibbs_marginal_gap": _gap_op(
         "gibbs-marginal-gap", (),
-        lambda scn, p, lam: _fields(gibbs_marginal_gap(scn.cost, scn.reference, lam, scn.p_x)),
+        lambda scn, p, lam: gibbs_marginal_gap(scn.cost, scn.reference, lam, scn.p_x),
     ),
-    "free_energy_identities": _Op("free-energy", ("x_index",), _free_energy),
+    "free_energy_identities": _Op("free-energy", ("x_index",), _each_tilt(_free_energy)),
     "variational_oracle": _Op("variational-optimum", ("x_index", "iters", "seed"), _oracle),
 }
 
@@ -474,7 +489,8 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
 
 
 def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, Any]:
-    """Run every (check, lambda) pair; return the report as a plain dict."""
+    """Run every check at all its lambdas in one op call; return the report, one
+    record per (check, lambda), as a plain dict."""
     t0 = time.perf_counter()
     records = []
     n_pass = 0
@@ -484,7 +500,8 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
             (DEFAULT_TOL_GRID if scn.is_grid else DEFAULT_TOL_FINITE)
         )
         op = _OPS[check.op]
-        for lam in scn.lambdas:
+        outcomes = op.run(scn, check.params, scn.lambdas)
+        for lam, outcome in zip(scn.lambdas, outcomes, strict=True):
             rec: dict[str, Any] = {
                 "check": check.label,
                 "identity": op.tag,
@@ -497,11 +514,11 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
                 "error": None,
                 "note": None,
             }
-            try:
-                rec.update(op.run(scn, check.params, lam))
-            except GibbsGapError as e:
-                rec["error"] = type(e).__name__
-                rec["note"] = str(e)
+            if isinstance(outcome, GibbsGapError):
+                rec["error"] = type(outcome).__name__
+                rec["note"] = str(outcome)
+            else:
+                rec.update(outcome)
             expect, error = check.expect_error, rec["error"]
             if expect is None and error is None:
                 rec["status"] = "pass" if rec["discrepancy"] <= tol else "fail"

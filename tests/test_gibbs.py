@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgap import (
     CostTable,
@@ -24,7 +26,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
-from gibbsgap.gibbs import _logsumexp
+from gibbsgap.gibbs import _logsumexp, _oracle_rows
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
@@ -93,6 +95,20 @@ def test_log_partition_is_convex_in_t():
         mid = log_partition(h, q, 0, 0.5 * (t1 + t2))
         avg = 0.5 * (log_partition(h, q, 0, t1) + log_partition(h, q, 0, t2))
         assert mid <= avg + 1e-10
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_log_partition_rejects_a_non_finite_tilt(t):
+    with pytest.raises(ValueError, match="tilt t must be finite"):
+        log_partition(H01, counting_measure(PTS), 0, t)
+
+
+def test_log_partition_of_an_overflowing_tilt_is_extended_real():
+    # -inf when t * h overflows to -inf on every atom of Q, +inf when it overflows to +inf
+    h = CostTable.on_support([[0.0]], PTS, [[1e300, 2e300]])
+    q = counting_measure(PTS)
+    assert log_partition(h, q, 0, -1e10) == -math.inf
+    assert log_partition(h, q, 0, 1e10) == math.inf
 
 
 def test_log_partition_does_not_overflow():
@@ -249,6 +265,15 @@ def test_gibbs_tiny_lambda_rejected():
 
 def test_overflowing_tilt_raises_infinite_log_partition():
     h = CostTable.on_support([[0.0]], PTS, [[0.0, 2.0]])
+    with pytest.raises(InfiniteLogPartition):
+        gibbs_tilt(h, counting_measure(PTS), -1e308, 0)
+
+
+def test_a_tilt_overflowing_next_to_a_large_finite_entry_does_not_warn():
+    # -lam * h is +inf on one atom and 7e307 on the other: the log-partition value
+    # is a legal +inf, and the exponential of the other entry must not warn
+    h = CostTable.on_support([[0.0]], PTS, [[0.7, 3.0]])
+    assert log_partition(h, counting_measure(PTS), 0, 1e308) == math.inf
     with pytest.raises(InfiniteLogPartition):
         gibbs_tilt(h, counting_measure(PTS), -1e308, 0)
 
@@ -410,3 +435,101 @@ def test_oracle_keeps_reference_null_points_null():
     assert opt.weights[1] == 0.0
     g = gibbs_tilt(h, q, 1.0, 0).measure
     assert 0.5 * np.abs(opt.weights - g.weights).sum() <= 1e-5
+
+
+#: Tilts whose oracle rows certify after 34 to 49 steps, or never: at 1e-6 the
+#: residual stays above its tolerance by rounding, and at 1e308 the tilt overflows.
+_TILTS = tuple(sign * mag for mag in (1e-6, 1e-3, 0.5, 2.0, 7.5, 40.0, 800.0, 1e308)
+               for sign in (1.0, -1.0))
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _one_tilt_loop(h, q, lam, iters):
+    """The oracle at one tilt, written as a plain loop: ``(log p, objective, free
+    energy)`` on the atoms of Q, or the error it raises."""
+    log_q = q.log_density[q.log_density > -math.inf][None]
+    h_live = h.row(0)[q.log_density > -math.inf][None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
+        a = -lam * h.row(0) + q.log_density
+    k = float(_logsumexp(np.where(np.isnan(a), -math.inf, a)))  # a null atom stays null
+    if not math.isfinite(k):
+        return InfiniteLogPartition(f"log-partition value is {k!r}")
+    tol = min(1e-10, 2e-10 / abs(lam))
+    log_p = log_q - _logsumexp(log_q)
+    for steps in range(iters + 1):
+        grad = h_live + (log_p - log_q + 1.0) / lam
+        resid = float(np.max(grad) - np.min(grad))
+        if resid <= tol:
+            break
+        if steps == iters:
+            return NonConvergence(f"residual {resid!r} > {tol!r} after {steps} iterations")
+        log_p -= 0.5 * lam * grad
+        log_p -= _logsumexp(log_p)
+    p = np.exp(log_p[0])
+    masses = p > 0
+    value = (math.fsum(h_live[0][masses] * p[masses])
+             + math.fsum((log_p[0] - log_q[0])[masses] * p[masses]) / lam)
+    if abs(value + k / lam) > 1e-6:
+        return NonConvergence(f"objective {value!r} is not within 1e-6 of the free energy "
+                              f"{-k / lam!r} after {steps} iterations")
+    return log_p[0], value, -k / lam
+
+
+def _assert_rows_are_one_tilt_calls(h, q, lams, iters) -> list:
+    """Each row of one oracle call at ``lams`` holds the bits, or raises the error, of
+    the kernel, of ``variational_oracle`` and of a plain loop at its tilt alone."""
+    rows = _oracle_rows(h, q, lams, 0, iters)
+    for lam, row in zip(lams, rows, strict=True):
+        (one,) = _oracle_rows(h, q, [lam], 0, iters)
+        loop = _one_tilt_loop(h, q, lam, iters)
+        if isinstance(one, Exception):
+            assert (type(row), str(row)) == (type(one), str(one)) == (type(loop), str(loop))
+            with pytest.raises(type(one)) as raised:
+                variational_oracle(h, q, lam, 0, iters=iters)
+            assert str(raised.value) == str(one)
+            continue
+        live = q.log_density > -math.inf
+        assert _bits(*row.log_p) == _bits(*one.log_p)
+        assert _bits(*row.log_p[live]) == _bits(*loop[0]) and np.all(row.log_p[~live] == -math.inf)
+        assert _bits(*row.log_g) == _bits(*one.log_g)
+        assert _bits(row.objective, row.free_energy) == _bits(one.objective, one.free_energy)
+        assert _bits(row.objective, row.free_energy) == _bits(*loop[1:])
+        assert _bits(*variational_oracle(h, q, lam, 0, iters=iters).log_density) == _bits(*row.log_p)
+    return rows
+
+
+@pytest.mark.parametrize("n_atoms", [st.integers(1, 40), st.just(8192)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_each_oracle_row_is_its_one_tilt_call_bit_for_bit(n_atoms, data):
+    # the rows of one call step in lockstep but stop at different steps: certified,
+    # out of iterations, or at a tilt that overflows
+    n = data.draw(n_atoms)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = y_points(n)
+    cost = rng.uniform(-1.0, 1.0, size=(1, n)) * data.draw(st.sampled_from([1.0, 3.0, 50.0]))
+    weights = rng.uniform(0.2, 2.0, size=n)
+    if n > 1 and data.draw(st.booleans()):  # a null atom of the reference
+        weights[rng.integers(n)] = 0.0
+    h = CostTable.on_support([[0.0]], pts, cost)
+    q = make_finite_measure(pts, weights, normalize=data.draw(st.booleans()))
+    lams = data.draw(st.lists(st.sampled_from(_TILTS), min_size=1, max_size=6))
+    iters = data.draw(st.integers(1, 60))
+    # a row at 1e308 that does not overflow in the tilt overflows in its steps
+    with np.errstate(over="ignore", invalid="ignore") if 1e308 in map(abs, lams) else np.errstate():
+        _assert_rows_are_one_tilt_calls(h, q, lams, iters)
+
+
+def test_oracle_rows_stop_at_their_own_steps():
+    pts = y_points(5)
+    h = CostTable.on_support([[0.0]], pts, [[0.0, 2.0, -1.5, 0.7, 3.0]])
+    q = make_finite_measure(pts, (1.0, 0.0, 2.0, 0.5, 1.0))
+    lams = [0.5, 1e-6, -2.0, 800.0, -1e308]
+    rows = _assert_rows_are_one_tilt_calls(h, q, lams, 40)
+    assert [type(r).__name__ for r in rows] == [
+        "_OracleRow", "NonConvergence", "_OracleRow", "NonConvergence", "InfiniteLogPartition"]
+    assert str(rows[3]).endswith("after 40 iterations")
+    assert rows[0].log_p[1] == -math.inf

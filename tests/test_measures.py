@@ -270,6 +270,15 @@ def test_an_infinite_cell_width_is_a_non_finite_value():
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+def test_a_cell_width_that_rounds_to_zero_is_rejected(normalize):
+    # every weight is positive, but the width 5e-324 / 2 rounds to 0.0
+    with pytest.raises(ValueError, match=r"cell width .* is 0\.0, not positive"):
+        make_grid_density(0.0, 5e-324, [1.0, 1.0], normalize=normalize)
+    with pytest.raises(ValueError, match="cell width"):
+        GridSupport(0.0, 5e-324, 2)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 def test_infinite_weights_of_both_signs_are_a_non_finite_value(normalize):
     # fsum of inf and -inf raises a bare ValueError: the weights are checked first
     with pytest.raises(NonFiniteValue, match="weights must be finite"):

@@ -188,6 +188,8 @@ def test_missing_file_exits_2(tmp_path):
         lambda d: d["pairs"][0].update(tolerance=float("nan")),
         lambda d: (d.pop("y_support"), d.update(  # the mass overflows only times the cell width
             y_grid={"lo": 0.0, "hi": 1e300, "n_cells": 2}, reference=[1e300, 1e300])),
+        lambda d: (d.pop("y_support"), d.update(  # the cell width rounds to zero
+            y_grid={"lo": 0, "hi": 5e-324, "n_cells": 2}, reference="lebesgue")),
     ],
 )
 def test_schema_violations_raise_scenario_error(tmp_path, mutate):
@@ -251,14 +253,18 @@ def test_a_family_reports_its_first_faulty_row(tmp_path, rows, message):
     assert err.rstrip("\n").endswith(message)
 
 
-@pytest.mark.parametrize("name", ["two_point", "designed_violation", "generated-7-64x128"])
+@pytest.mark.parametrize(
+    "name", ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt"])
 def test_reports_match_the_golden_files(name, tmp_path):
     # tests/data holds `verify --format json` without wall_time_s of the bundled
-    # scenarios and of `generate --seed 7 --nx 64 --ny 128`, whose 64 x 128 row
-    # sums take the vectorized path; a change that claims byte-identical reports
-    # keeps them
+    # scenarios, of `generate --seed 7 --nx 64 --ny 128`, whose 64 x 128 row
+    # sums take the vectorized path, and of tests/data/multi_tilt.json, whose
+    # oracle checks each run at six tilts; a change that claims byte-identical
+    # reports keeps them
     if name.startswith("generated"):
         (path,) = generate_scenarios(7, nx=64, ny=128, count=1, out_dir=tmp_path)
+    elif name == "multi_tilt":
+        path = REPO / "tests" / "data" / "multi_tilt.json"
     else:
         path = REPO / "scenarios" / f"{name}.json"
     report, code = run_scenario_file(path)
