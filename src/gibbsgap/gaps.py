@@ -26,11 +26,16 @@ Each decomposition is returned with every term stored, so a caller can
 audit the arithmetic; ``discrepancy = |direct - closed_form|`` is computed
 from the stored fields.
 
-Every form runs through one row kernel: the laws are stacked one row per
-conditioning point, their reference is tilted by one batched log-sum-exp,
-and each term is a compensated per-row sum.  A single conditioning point is
-the one-row case; the averaged and marginal forms are ``p_x``-weighted
-compensated sums of the per-row values.
+Every form runs through one row kernel, at all the tilts of a call: the
+laws are stacked one row per conditioning point, their reference is tilted
+by one batched log-sum-exp, and each term is a compensated per-row sum.
+The inputs are checked, and the direct value and the terms that do not
+name the Gibbs measure are summed, once for all tilts; the Gibbs terms are
+summed at each tilt.  A single conditioning point is the one-row case, and
+its tilts are stacked as the rows of one sum; the averaged and marginal
+forms are ``p_x``-weighted compensated sums of the per-row values, tilted
+one tilt at a time.  Each public function is the one-tilt case of its
+kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
 checked up front and violations raise, rather than producing ``inf - inf``.
@@ -45,6 +50,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import (
+    GibbsGapError,
     IndexMismatch,
     InfiniteDivergence,
     MutualContinuityViolated,
@@ -53,7 +59,7 @@ from .errors import (
     NotAbsolutelyContinuous,
 )
 from .divergences import _kl_rows
-from .gibbs import CostTable, _gibbs_rows, _require_lambda
+from .gibbs import CostTable, _gibbs_rows, _gibbs_tilts, _one_tilt, _require_lambda
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
@@ -172,30 +178,68 @@ def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights, checked: bool = T
     return _average(weights, rows)
 
 
-def _decompose(identity, h, rows, weights, lam, laws, messages, log_gibbs=None, checked=True):
-    """The row kernel: per-row terms and gaps of ``identity``, reduced with ``weights``.
+def _outcome(make: Callable, *args):
+    """``make(*args)``, or the :class:`GibbsGapError` it raises, without its traceback,
+    which would keep the failed call's arrays."""
+    try:
+        return make(*args)
+    except GibbsGapError as e:
+        return e.with_traceback(None)
+
+
+def _decompose(identity, h, rows, weights, lams, laws, messages, log_gibbs=None, checked=True):
+    """The row kernel: at each tilt of ``lams``, the terms and gap of ``identity``, reduced
+    with ``weights``, or the error raised at that tilt.
 
     Each law holds a row per entry of ``rows`` or one for all; ``messages``
-    names the dominated laws.  The reference is tilted unless ``log_gibbs`` is.
+    names the dominated laws.  The reference is tilted unless ``log_gibbs``
+    is, at the one tilt of ``lams``.  The inputs are checked, and the direct
+    value and the terms that do not name ``gibbs`` summed, once for all tilts.
     """
     ref = laws[identity.reference]
     _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
     h.require_matches(ref)
     h_rows = h.values[rows]
-    if log_gibbs is None:
-        log_gibbs = _gibbs_rows(h_rows, ref.log, lam, ref.domain.base_mass)[0]
-    laws = {**laws, "gibbs": _Rows(None, log_gibbs, None)}
-    terms = {
-        name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
-        for name, (a, b, c) in identity.terms.items()
-    }
-    return GapDecomposition(
-        direct=_direct(h_rows, laws["p1"], laws["p2"], weights, checked),
-        closed_form=identity.lam_gap(terms) / lam,
-        terms=terms,
-        lam=lam,
-        reference_tag=identity.tag,
-    )
+    out: list = [None] * len(lams)
+    fixed = None  # the tilt-free terms, summed for the first tilt that needs them
+    for tilts, log_g in [([0], log_gibbs)] if log_gibbs is not None else _tilts(h_rows, ref, lams):
+        if isinstance(log_g, GibbsGapError):
+            out[tilts[0]] = log_g
+            continue
+        if fixed is None:
+            fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
+                     for name, (a, b, c) in identity.terms.items() if "gibbs" not in (b, c)}
+            direct = _outcome(_direct, h_rows, laws["p1"], laws["p2"], weights, checked)
+        tilted = {**laws, "gibbs": _Rows(None, log_g, None)}
+        sums = {name: _kl_rows(tilted[a].mass, tilted[b].log, tilted[c].log)
+                for name, (a, b, c) in identity.terms.items() if name not in fixed}
+        n = len(log_g) // len(tilts)  # the rows of each tilt
+        for j, t in enumerate(tilts):
+            terms = {name: fixed[name] if name in fixed else
+                     _average(weights, sums[name][j * n:j * n + n]) for name in identity.terms}
+            if isinstance(direct, GibbsGapError):
+                out[t] = direct
+            else:
+                closed_form = identity.lam_gap(terms) / lams[t]
+                out[t] = _outcome(GapDecomposition, direct, closed_form, terms, lams[t], identity.tag)
+    return out
+
+
+def _tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
+    """The tilts of ``ref`` at ``lams``, as blocks ``(tilts, log atoms)`` with one row per tilt
+    and conditioning point, or ``([tilt], error)`` where a tilt raises.  A single row is
+    tilted at all its tilts at once, the tilts stacked as rows; more rows, or a single tilt,
+    one tilt at a time."""
+    base_mass = ref.domain.base_mass
+    if len(h_rows) > 1 or len(lams) == 1:
+        for t, lam in enumerate(lams):
+            yield [t], _outcome(lambda: _gibbs_rows(h_rows, ref.log, lam, base_mass)[0])
+        return
+    log_g, k_vals = _gibbs_tilts(h_rows[0], ref.log, lams, base_mass)
+    ok = [t for t, k in enumerate(k_vals) if not isinstance(k, GibbsGapError)]
+    yield from (([t], k) for t, k in enumerate(k_vals) if isinstance(k, GibbsGapError))
+    if ok:
+        yield ok, log_g if len(ok) == len(lams) else log_g[ok]
 
 
 def _require_continuity(rows, *checks, error=NotAbsolutelyContinuous) -> None:
@@ -260,11 +304,16 @@ def gap_closed_form(
     Requires ``p1 << q`` and ``p2 << q``; the reference may be any
     sigma-finite measure in the same representation.
     """
-    lam = _require_lambda(lam)
+    return _one_tilt(_common_gap(h, x_index, p1, p2, q, [lam]))
+
+
+def _common_gap(h, x_index, p1, p2, q, lams) -> list:
+    """:func:`gap_closed_form` at every tilt of ``lams``."""
+    lams = [_require_lambda(lam) for lam in lams]
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     laws = {"p1": _row(p1), "p2": _row(p2), "ref": _row(q)}
     messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
-    return _decompose(_COMMON, h, rows, [1.0], lam, laws, messages)
+    return _decompose(_COMMON, h, rows, [1.0], lams, laws, messages)
 
 
 def gap_closed_form_relative(
@@ -285,11 +334,16 @@ def gap_closed_form_relative(
     Only the stated one-sided absolute continuity is needed; the opposite
     direction may legitimately fail for the same pair.
     """
-    lam = _require_lambda(lam)
+    return _one_tilt(_relative_gap(h, x_index, p1, p2, direction, [lam]))
+
+
+def _relative_gap(h, x_index, p1, p2, direction, lams) -> list:
+    """:func:`gap_closed_form_relative` at every tilt of ``lams``."""
+    lams = [_require_lambda(lam) for lam in lams]
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     identity, messages = _relative(direction)
     laws = {"p1": _row(p1), "p2": _row(p2)}
-    return _decompose(identity, h, rows, [1.0], lam, laws, messages)
+    return _decompose(identity, h, rows, [1.0], lams, laws, messages)
 
 
 def gap_mixture_reference(
@@ -305,9 +359,15 @@ def gap_mixture_reference(
     A strict mixture dominates both ingredients, so this works even when
     ``p1`` and ``p2`` are mutually singular.
     """
-    lam = _require_lambda(lam)
-    q = mix(p1, p2, alpha)
-    return replace(gap_closed_form(h, x_index, p1, p2, q, lam), reference_tag=f"mixture({alpha:g})")
+    return _one_tilt(_mixture_gap(h, x_index, p1, p2, alpha, [lam]))
+
+
+def _mixture_gap(h, x_index, p1, p2, alpha, lams) -> list:
+    """:func:`gap_mixture_reference` at every tilt of ``lams``."""
+    lams = [_require_lambda(lam) for lam in lams]
+    decs = _common_gap(h, x_index, p1, p2, mix(p1, p2, alpha), lams)
+    return [d if isinstance(d, GibbsGapError) else replace(d, reference_tag=f"mixture({alpha:g})")
+            for d in decs]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +401,16 @@ def expected_gap_closed_form(
     respect to ``q``; the aggregated terms are the p_x-weighted sums of the
     per-point divergences, accumulated by compensated summation.
     """
-    lam = _require_lambda(lam)
+    return _one_tilt(_expected_common(h, cond1, cond2, p_x, q, [lam]))
+
+
+def _expected_common(h, cond1, cond2, p_x, q, lams) -> list:
+    """:func:`expected_gap_closed_form` at every tilt of ``lams``."""
+    lams = [_require_lambda(lam) for lam in lams]
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     laws = {"p1": p1, "p2": p2, "ref": _row(q)}
     messages = [f"cond{c} member {{k}} is not absolutely continuous w.r.t. q" for c in (1, 2)]
-    return _decompose(_COMMON, h, live, weights, lam, laws, messages)
+    return _decompose(_COMMON, h, live, weights, lams, laws, messages)
 
 
 def expected_gap_relative(
@@ -362,19 +427,26 @@ def expected_gap_relative(
     (``direction="P2-ref"``) or first (``direction="P1-ref"``) member, so
     the reference varies with x.
     """
-    lam = _require_lambda(lam)
+    return _one_tilt(_expected_relative(h, cond1, cond2, p_x, direction, [lam]))
+
+
+def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
+    """:func:`expected_gap_relative` at every tilt of ``lams``."""
+    lams = [_require_lambda(lam) for lam in lams]
     identity, messages = _relative(direction)
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     require_same_representation(cond1[live[0]], cond2[live[0]])
-    return _decompose(identity, h, live, weights, lam, {"p1": p1, "p2": p2}, messages)
+    return _decompose(identity, h, live, weights, lams, {"p1": p1, "p2": p2}, messages)
 
 
 # ---------------------------------------------------------------------------
 # marginal vs conditional
 
 
-def _marginal(h, cond, p_x, q, lam, tilted=False) -> GapDecomposition:
-    """:func:`marginal_gap`; ``tilted`` when ``cond`` is ``q``'s Gibbs family, so its rows are the tilt."""
+def _marginal(h, cond, p_x, q, lams, tilted=False) -> list:
+    """:func:`marginal_gap` at every tilt of ``lams``; ``tilted`` when ``cond`` is ``q``'s Gibbs
+    family at the one tilt of ``lams``, so its rows are the tilt."""
+    lams = [_require_lambda(lam) for lam in lams]
     live, weights, (members,) = _aligned(h, p_x, cond)
     laws = {"p2": members, "ref": _row(q)}
     _require_continuity(
@@ -384,7 +456,7 @@ def _marginal(h, cond, p_x, q, lam, tilted=False) -> GapDecomposition:
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
     _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
     log_gibbs = laws["p2"].log if tilted else None
-    return _decompose(_MARGINAL, h, live, weights, lam, laws, [], log_gibbs, False)
+    return _decompose(_MARGINAL, h, live, weights, lams, laws, [], log_gibbs, False)
 
 
 def marginal_gap(
@@ -406,7 +478,7 @@ def marginal_gap(
     (:class:`MutualContinuityViolated` otherwise — the lautum term and the
     cross terms would degenerate to ``inf - inf``).
     """
-    return _marginal(h, cond, p_x, q, _require_lambda(lam))
+    return _one_tilt(_marginal(h, cond, p_x, q, [lam]))
 
 
 def gibbs_marginal_gap(
@@ -422,11 +494,22 @@ def gibbs_marginal_gap(
     closed form collapses to ``(mutual + lautum)/lam``.  Both cross terms
     are still computed and stored so the collapse is auditable.
     """
-    lam = _require_lambda(lam)
+    return _one_tilt(_gibbs_marginal(h, q, [lam], p_x))
+
+
+def _gibbs_marginal(h, q, lams, p_x) -> list:
+    """:func:`gibbs_marginal_gap` at every tilt of ``lams``: the family is the tilt, so no term
+    is tilt-free, and each tilt is its own :func:`_marginal`."""
+    lams = [_require_lambda(lam) for lam in lams]
     if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     h.require_matches(q)
+    return [_outcome(_gibbs_marginal_at, h, q, lam, p_x) for lam in lams]
+
+
+def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
     log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
     log_gibbs.flags.writeable = False
-    dec = _marginal(h, _family(h.x_points, q.domain, log_density=log_gibbs), p_x, q, lam, tilted=True)
+    family = _family(h.x_points, q.domain, log_density=log_gibbs)
+    dec = _one_tilt(_marginal(h, family, p_x, q, [lam], tilted=True))
     return replace(dec, closed_form=(dec.terms["mutual"] + dec.terms["lautum"]) / lam)

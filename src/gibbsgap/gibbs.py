@@ -49,9 +49,10 @@ from .measures import (
     _logsumexp,
     _mean_rows,
     _point_support,
-    expectation,
+    atom_masses,
+    require_same_representation,
 )
-from .divergences import _kl_rows, kl
+from .divergences import _kl_rows
 
 __all__ = [
     "CostTable",
@@ -178,6 +179,18 @@ def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
     return a, _logsumexp(a, axis=-1) + math.log(base_mass)
 
 
+def _gibbs_tilts(h_row: np.ndarray, log_ref, lams: list, base_mass: float):
+    """The tilts of the cost row ``h_row`` at each of ``lams``, stacked by one :func:`_tilt_rows`
+    call: their log atoms, one row per tilt, and per tilt the log-partition value or the
+    :class:`InfiniteLogPartition` raised there.  The row of a tilt that raises holds no tilt.
+    Row ``k`` holds the bits of a one-row call at ``lams[k]`` alone."""
+    a, k_vals = _tilt_rows(h_row[None], log_ref, -np.array(lams)[:, None], base_mass)
+    finite = np.isfinite(k_vals)
+    return a - np.where(finite, k_vals, 0.0)[:, None], [
+        k if ok else InfiniteLogPartition(f"log-partition value is {k!r}")
+        for k, ok in zip(k_vals.tolist(), finite.tolist())]
+
+
 def _gibbs_rows(h_rows: np.ndarray, log_ref, lam: float, base_mass: float):
     """Log atoms ``log ref - lam * h - log_partition`` of each row's tilt, and the log-partition
     values; :class:`InfiniteLogPartition` at the first row whose value is not finite."""
@@ -204,12 +217,18 @@ class GibbsResult:
     def __post_init__(self) -> None:
         if not self.measure.is_probability:
             raise ValueError("a Gibbs measure must be a probability measure")
-        resid = abs(self.free_energy * (-self.lam) - self.log_partition)
-        if resid > 1e-12 * max(1.0, abs(self.log_partition)):
-            raise ValueError(
-                f"free energy {self.free_energy!r} inconsistent with "
-                f"log-partition {self.log_partition!r} at lam={self.lam!r}"
-            )
+        _require_free_energy(self.free_energy, self.log_partition, self.lam)
+
+
+def _require_free_energy(free_energy: float, log_partition: float, lam: float) -> float:
+    """``free_energy``, once ``free_energy * (-lam)`` is ``log_partition`` to a relative 1e-12."""
+    resid = abs(free_energy * (-lam) - log_partition)
+    if resid > 1e-12 * max(1.0, abs(log_partition)):
+        raise ValueError(
+            f"free energy {free_energy!r} inconsistent with "
+            f"log-partition {log_partition!r} at lam={lam!r}"
+        )
+    return free_energy
 
 
 def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResult:
@@ -262,7 +281,8 @@ def free_energy_identities(
 
     The reference-side form needs ``E_Q[h]`` and is only defined when ``q``
     is a probability measure; otherwise that side is skipped and flagged,
-    never raised.
+    never raised.  This is the one-tilt case of the scenario runner's
+    kernel, which evaluates all of a check's tilts in one pass.
 
     Raises
     ------
@@ -270,31 +290,72 @@ def free_energy_identities(
         if a divergence entering an evaluated side is infinite.
     """
     h.require_matches(q)
-    lam = g.lam
-    fe = g.free_energy
+    require_same_representation(g.measure, q)
+    return _one_tilt(_splits(h, q, x_index, atom_masses(g.measure)[None],
+                             g.measure.log_density[None], [g.lam], [g.free_energy]))
 
-    d_g_q = kl(g.measure, q)
-    if math.isinf(d_g_q):
-        raise InfiniteDivergence("kl(gibbs, reference) is infinite")
-    via_gibbs = expectation(h.row(x_index), g.measure) + d_g_q / lam
 
-    via_reference: Optional[float] = None
-    skipped = True
+def _splits(h: CostTable, q: Measure, x_index: int, mass_g, log_g, lams, free_energies) -> list:
+    """The :class:`FreeEnergySplit` of each row ``k`` of ``log_g``, a tilt of ``q`` at ``lams[k]``
+    with atom masses ``mass_g[k]`` and free energy ``free_energies[k]``, or the
+    :class:`InfiniteDivergence` raised there.  Each divergence and ``E_G[h]`` is one sum over
+    the rows, and ``E_Q[h]`` one sum for all."""
+    d_g_q = _kl_rows(mass_g, log_g, q.log_density[None])
+    out: list = [InfiniteDivergence("kl(gibbs, reference) is infinite") if math.isinf(d) else None
+                 for d in d_g_q]
+    ok = [k for k, row in enumerate(out) if row is None]
+    if not ok:
+        return out
+    h_row = h.row(x_index)[None]
+    mean_g = _mean_rows(h_row, mass_g[ok])
+    d_q_g, mean_q = [None] * len(ok), None  # the reference side, skipped unless q is a probability
     if q.is_probability:
-        d_q_g = kl(q, g.measure)
-        if math.isinf(d_q_g):
-            raise InfiniteDivergence("kl(reference, gibbs) is infinite")
-        via_reference = expectation(h.row(x_index), q) - d_q_g / lam
-        skipped = False
+        d_q_g = _kl_rows(atom_masses(q)[None], q.log_density[None], log_g[ok])
+        if not all(map(math.isinf, d_q_g)):  # E_Q[h] once, if a tilt needs it
+            mean_q = _mean_rows(h_row, atom_masses(q)[None])[0]
+    for k, mean, d_qg in zip(ok, mean_g, d_q_g, strict=True):
+        via_gibbs = mean + d_g_q[k] / lams[k]
+        if d_qg is not None and math.isinf(d_qg):
+            out[k] = InfiniteDivergence("kl(reference, gibbs) is infinite")
+            continue
+        via_reference = None if d_qg is None else mean_q - d_qg / lams[k]
+        sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
+        out[k] = FreeEnergySplit(
+            free_energy=free_energies[k],
+            via_reference=via_reference,
+            via_gibbs=via_gibbs,
+            max_discrepancy=max(abs(free_energies[k] - s) for s in sides),
+            reference_skipped=via_reference is None,
+        )
+    return out
 
-    sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
-    return FreeEnergySplit(
-        free_energy=fe,
-        via_reference=via_reference,
-        via_gibbs=via_gibbs,
-        max_discrepancy=max(abs(fe - s) for s in sides),
-        reference_skipped=skipped,
-    )
+
+def _free_energy_rows(h: CostTable, q: Measure, lams, x_index: int) -> list:
+    """:func:`free_energy_identities` of :func:`gibbs_tilt` at every tilt of ``lams``: per tilt,
+    the split and the log-partition value, or the error raised at that tilt.
+
+    One :func:`_gibbs_tilts` call tilts row ``x_index`` at every tilt, and
+    :func:`_splits` sums over the stacked tilts, so no measure is built.
+    """
+    lams = [_require_lambda(lam) for lam in lams]
+    h.require_matches(q)
+    log_g, out = _gibbs_tilts(h.row(x_index), q.log_density, lams, q.domain.base_mass)
+    ok = [k for k, v in enumerate(out) if not isinstance(v, GibbsGapError)]
+    log_g = log_g[ok]
+    free_energies = [_require_free_energy(-out[k] / lams[k], out[k], lams[k]) for k in ok]
+    splits = _splits(h, q, x_index, np.exp(log_g) * q.domain.base_mass, log_g,
+                     [lams[k] for k in ok], free_energies)
+    for k, split in zip(ok, splits, strict=True):
+        out[k] = split if isinstance(split, GibbsGapError) else (split, out[k])
+    return out
+
+
+def _one_tilt(outcomes: list):
+    """The one outcome of a tilt-axis kernel called at a single tilt, raised if it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, GibbsGapError):
+        raise outcome
+    return outcome
 
 
 class _OracleRow(NamedTuple):
@@ -310,53 +371,55 @@ class _OracleRow(NamedTuple):
 def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int) -> list:
     """The variational oracle at every tilt of ``lams``, one row per tilt, stepped in lockstep.
 
-    One :func:`_tilt_rows` call tilts row ``x_index`` at every tilt; the rows
+    One :func:`_gibbs_tilts` call tilts row ``x_index`` at every tilt; the rows
     then step together, each frozen at its own certificate or stopped with its
     own error.  Row ``k`` does the arithmetic of a call at ``lams[k]`` alone, so
-    it holds the same bits.  Returns, per tilt, an :class:`_OracleRow` or the
-    :class:`InfiniteLogPartition` or :class:`NonConvergence` raised at that tilt.
+    it holds the same bits.  A step that overflows leaves a row that cannot
+    certify; it is reported as that row's :class:`NonConvergence`, not warned.
+    Returns, per tilt, an :class:`_OracleRow` or the :class:`InfiniteLogPartition`
+    or :class:`NonConvergence` raised at that tilt.
     """
     if not isinstance(q, FiniteMeasure):
         raise RepresentationMismatch("the variational oracle works on finite supports")
     lams = [_require_lambda(lam) for lam in lams]
     h.require_matches(q)
+    log_g, k_vals = _gibbs_tilts(h.row(x_index), q.log_density, lams, q.domain.base_mass)
     col = np.array(lams)[:, None]
-    a, k_vals = _tilt_rows(h.row(x_index)[None], q.log_density, -col, q.domain.base_mass)
     tol = np.minimum(1e-10, 2e-10 / np.abs(col[:, 0]))
-    out: list = [None if math.isfinite(k) else InfiniteLogPartition(f"log-partition value is {k!r}")
-                 for k in k_vals.tolist()]
+    out: list = [k if isinstance(k, GibbsGapError) else None for k in k_vals]
 
     live = q.log_density > -math.inf
     h_live = h.row(x_index)[live][None]  # on the atoms of Q
     log_qa = q.log_density[live][None]
-    rows = np.flatnonzero(np.isfinite(k_vals))  # the tilt of each row still stepping
+    rows = np.flatnonzero([row is None for row in out])  # the tilt of each row still stepping
     log_p = np.repeat(log_qa - _logsumexp(log_qa), rows.size, axis=0)
     final, n_steps = np.empty((len(lams), log_qa.shape[1])), [0] * len(lams)
     lam, row_tol, steps = col[rows], tol[rows], 0
-    while rows.size:
-        grad = h_live + (log_p - log_qa + 1.0) / lam
-        resid = grad.max(axis=1) - grad.min(axis=1)
-        done = resid <= row_tol
-        stop = done | (steps >= iters)
-        if stop.any():
-            for i in np.flatnonzero(stop).tolist():
-                k = rows[i]
-                if done[i]:
-                    final[k], n_steps[k] = log_p[i], steps
-                else:
-                    out[k] = NonConvergence(f"residual {float(resid[i])!r} > {float(tol[k])!r} "
-                                            f"after {steps} iterations")
-            go = ~stop
-            rows, lam, row_tol, log_p, grad = rows[go], lam[go], row_tol[go], log_p[go], grad[go]
-        log_p -= 0.5 * lam * grad
-        log_p -= _logsumexp(log_p, axis=-1)[:, None]
-        steps += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows cannot certify
+        while rows.size:
+            grad = h_live + (log_p - log_qa + 1.0) / lam
+            resid = grad.max(axis=1) - grad.min(axis=1)
+            done = resid <= row_tol
+            stop = done | (steps >= iters)
+            if stop.any():
+                for i in np.flatnonzero(stop).tolist():
+                    k = rows[i]
+                    if done[i]:
+                        final[k], n_steps[k] = log_p[i], steps
+                    else:
+                        out[k] = NonConvergence(f"residual {float(resid[i])!r} > {float(tol[k])!r} "
+                                                f"after {steps} iterations")
+                go = ~stop
+                rows, lam, row_tol, log_p, grad = rows[go], lam[go], row_tol[go], log_p[go], grad[go]
+            log_p -= 0.5 * lam * grad
+            log_p -= _logsumexp(log_p, axis=-1)[:, None]
+            steps += 1
 
     ok = [k for k, row in enumerate(out) if row is None]  # the certified rows
     log_p = final[ok]
     p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
     for k, mean, div in zip(ok, _mean_rows(h_live, p), _kl_rows(p, log_p, log_qa), strict=True):
-        value, free_energy = mean + div / lams[k], -float(k_vals[k]) / lams[k]
+        value, free_energy = mean + div / lams[k], -k_vals[k] / lams[k]
         if abs(value - free_energy) > 1e-6:
             out[k] = NonConvergence(
                 f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
@@ -364,7 +427,7 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int)
             continue
         log_full = np.full(live.shape, -math.inf)
         log_full[live] = final[k]
-        out[k] = _OracleRow(log_full, a[k] - k_vals[k], value, free_energy)
+        out[k] = _OracleRow(log_full, log_g[k], value, free_energy)
     return out
 
 
@@ -394,7 +457,5 @@ def variational_oracle(
     This is the one-tilt case of the scenario runner's oracle, which steps
     all of a check's tilts as rows of one loop.
     """
-    (row,) = _oracle_rows(h, q, [lam], x_index, iters)
-    if isinstance(row, GibbsGapError):
-        raise row
+    row = _one_tilt(_oracle_rows(h, q, [lam], x_index, iters))
     return _derived(q.domain, True, log_density=_freeze(row.log_p))

@@ -4,10 +4,11 @@ A scenario is a JSON document (``"schema": 1``) describing one experiment:
 a Y-representation, conditioning points, a cost table, a reference
 measure, a list of tilt parameters, an X-marginal, named conditional
 families, and a list of identity checks (``"pairs"``).  Every check runs
-at all the tilt parameters in one op call, in declaration order, and the
-outcome is a report with one record per (check, lambda).  The variational
-oracle steps its tilts as the rows of one loop; the other ops run once per
-tilt.  The results are those of one call per tilt.
+at all the tilt parameters in one kernel call, in declaration order, and
+the outcome is a report with one record per (check, lambda).  A kernel
+checks its inputs and sums the terms that do not depend on the tilt once,
+and the rest at each tilt; the tilts of a single cost row are stacked as
+the rows of one sum.  The results are those of one call per tilt.
 
 Numeric scenario fields may be JSON numbers or decimal strings
 (``"0.1"``); strings go through ordinary round-to-nearest float parsing,
@@ -43,15 +44,15 @@ import numpy as np
 
 from .errors import GibbsGapError, ScenarioError
 from .gaps import (
-    expected_gap_closed_form,
-    expected_gap_relative,
-    gap_closed_form,
-    gap_closed_form_relative,
-    gap_mixture_reference,
-    gibbs_marginal_gap,
-    marginal_gap,
+    _common_gap,
+    _expected_common,
+    _expected_relative,
+    _gibbs_marginal,
+    _marginal,
+    _mixture_gap,
+    _relative_gap,
 )
-from .gibbs import CostTable, _oracle_rows, free_energy_identities, gibbs_tilt
+from .gibbs import CostTable, _free_energy_rows, _oracle_rows
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
@@ -287,9 +288,11 @@ def _build_scenario(doc: dict) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # the op table: each op's identity tag, parameters and runner, declared once.
-# A runner receives all of a check's tilts and returns one outcome per tilt.
-# Parameters are validated against ``_PARAMS`` at load time, so a runner
-# meets only the library's errors, and those are check outcomes.
+# A runner makes one kernel call with all of a check's tilts and returns one
+# outcome per tilt; the error of a tilt stays at its tilt, and an error raised
+# before any tilt is the outcome at each.  Parameters are validated against
+# ``_PARAMS`` at load time, so a runner meets only the library's errors, and
+# those are check outcomes.
 
 #: Largest oracle ``iters`` a check may ask for.  The oracle halves its
 #: distance to the optimum on every step and certifies within tens of steps;
@@ -348,11 +351,16 @@ def _pair(p: dict) -> tuple[int, Measure, Measure]:
     return xi, p["p1"][xi], p["p2"][xi]
 
 
-def _free_energy(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
-    xi = p["x_index"]
-    g = gibbs_tilt(scn.cost, scn.reference, lam, xi)
-    split = free_energy_identities(g, scn.cost, scn.reference, xi)
-    terms = {"via_gibbs": split.via_gibbs, "log_partition": g.log_partition}
+def _free_energy(scn: Scenario, p: dict, lams) -> list:
+    """The free-energy identities at every tilt in one call: a tilt's row carries its split
+    and its log-partition value."""
+    rows = _free_energy_rows(scn.cost, scn.reference, lams, p["x_index"])
+    return [row if isinstance(row, GibbsGapError) else _split_fields(*row) for row in rows]
+
+
+def _split_fields(split, log_partition: float) -> dict[str, Any]:
+    """Record fields of a :class:`~gibbsgap.gibbs.FreeEnergySplit`."""
+    terms = {"via_gibbs": split.via_gibbs, "log_partition": log_partition}
     if split.via_reference is not None:
         terms["via_reference"] = split.via_reference
     return {
@@ -368,10 +376,7 @@ def _free_energy(scn: Scenario, p: dict, lam: float) -> dict[str, Any]:
 def _oracle(scn: Scenario, p: dict, lams) -> list:
     """The oracle at every tilt in one call: its rows carry the objective and the tilt
     that the record compares."""
-    try:
-        rows = _oracle_rows(scn.cost, scn.reference, lams, p["x_index"], p["iters"])
-    except GibbsGapError as e:  # raised before any tilt, so raised at each
-        return [e] * len(lams)
+    rows = _oracle_rows(scn.cost, scn.reference, lams, p["x_index"], p["iters"])
     return [row if isinstance(row, GibbsGapError) else {
         "direct": row.objective,
         "closed_form": row.free_energy,
@@ -381,64 +386,52 @@ def _oracle(scn: Scenario, p: dict, lams) -> list:
     } for row in rows]
 
 
-def _each_tilt(run: Callable[[Scenario, dict, float], dict[str, Any]]):
-    """The op that calls ``run`` once per tilt, for an op with no tilt axis of its own."""
-    def run_all(scn: Scenario, p: dict, lams) -> list:
-        out = []
-        for lam in lams:
-            try:
-                out.append(run(scn, p, lam))
-            except GibbsGapError as e:  # its traceback would keep the failed call's arrays
-                out.append(e.with_traceback(None))
-        return out
-    return run_all
-
-
 class _Op(NamedTuple):
     tag: str
     params: tuple[str, ...]
     # (scenario, params, lambdas) -> one outcome per lambda: the record fields or the
-    # GibbsGapError raised at that lambda
+    # GibbsGapError raised at that lambda; a GibbsGapError it raises is the outcome at each
     run: Callable[[Scenario, dict, tuple[float, ...]], list]
 
 
-def _gap_op(tag: str, params: tuple[str, ...], gap) -> _Op:
-    """The op of the decomposition ``gap(scn, params, lam)``, run once per tilt."""
-    return _Op(tag, params, _each_tilt(lambda scn, p, lam: _fields(gap(scn, p, lam))))
+def _gap_op(tag: str, params: tuple[str, ...], gaps) -> _Op:
+    """The op of the decomposition kernel ``gaps(scn, params, lambdas)``."""
+    return _Op(tag, params, lambda scn, p, lams: [
+        d if isinstance(d, GibbsGapError) else _fields(d) for d in gaps(scn, p, lams)])
 
 
 _OPS = {
     "gap_closed_form": _gap_op(
         "gap-common-reference", ("x_index", "p1", "p2"),
-        lambda scn, p, lam: gap_closed_form(scn.cost, *_pair(p), scn.reference, lam),
+        lambda scn, p, lams: _common_gap(scn.cost, *_pair(p), scn.reference, lams),
     ),
     "gap_closed_form_relative": _gap_op(
         "gap-relative-reference", ("x_index", "p1", "p2", "direction"),
-        lambda scn, p, lam: gap_closed_form_relative(scn.cost, *_pair(p), p["direction"], lam),
+        lambda scn, p, lams: _relative_gap(scn.cost, *_pair(p), p["direction"], lams),
     ),
     "gap_mixture_reference": _gap_op(
         "gap-mixture-reference", ("x_index", "p1", "p2", "alpha"),
-        lambda scn, p, lam: gap_mixture_reference(scn.cost, *_pair(p), p["alpha"], lam),
+        lambda scn, p, lams: _mixture_gap(scn.cost, *_pair(p), p["alpha"], lams),
     ),
     "expected_gap_closed_form": _gap_op(
         "expected-gap-common-reference", ("family1", "family2"),
-        lambda scn, p, lam: expected_gap_closed_form(
-            scn.cost, p["family1"], p["family2"], scn.p_x, scn.reference, lam),
+        lambda scn, p, lams: _expected_common(
+            scn.cost, p["family1"], p["family2"], scn.p_x, scn.reference, lams),
     ),
     "expected_gap_relative": _gap_op(
         "expected-gap-relative-reference", ("family1", "family2", "direction"),
-        lambda scn, p, lam: expected_gap_relative(
-            scn.cost, p["family1"], p["family2"], scn.p_x, p["direction"], lam),
+        lambda scn, p, lams: _expected_relative(
+            scn.cost, p["family1"], p["family2"], scn.p_x, p["direction"], lams),
     ),
     "marginal_gap": _gap_op(
         "marginal-gap-information", ("family",),
-        lambda scn, p, lam: marginal_gap(scn.cost, p["family"], scn.p_x, scn.reference, lam),
+        lambda scn, p, lams: _marginal(scn.cost, p["family"], scn.p_x, scn.reference, lams),
     ),
     "gibbs_marginal_gap": _gap_op(
         "gibbs-marginal-gap", (),
-        lambda scn, p, lam: gibbs_marginal_gap(scn.cost, scn.reference, lam, scn.p_x),
+        lambda scn, p, lams: _gibbs_marginal(scn.cost, scn.reference, lams, scn.p_x),
     ),
-    "free_energy_identities": _Op("free-energy", ("x_index",), _each_tilt(_free_energy)),
+    "free_energy_identities": _Op("free-energy", ("x_index",), _free_energy),
     "variational_oracle": _Op("variational-optimum", ("x_index", "iters", "seed"), _oracle),
 }
 
@@ -489,7 +482,7 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
 
 
 def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, Any]:
-    """Run every check at all its lambdas in one op call; return the report, one
+    """Run every check at all its lambdas in one kernel call; return the report, one
     record per (check, lambda), as a plain dict."""
     t0 = time.perf_counter()
     records = []
@@ -500,7 +493,10 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
             (DEFAULT_TOL_GRID if scn.is_grid else DEFAULT_TOL_FINITE)
         )
         op = _OPS[check.op]
-        outcomes = op.run(scn, check.params, scn.lambdas)
+        try:
+            outcomes = op.run(scn, check.params, scn.lambdas)
+        except GibbsGapError as e:  # raised before any tilt, so the outcome at each
+            outcomes = [e.with_traceback(None)] * len(scn.lambdas)
         for lam, outcome in zip(scn.lambdas, outcomes, strict=True):
             rec: dict[str, Any] = {
                 "check": check.label,

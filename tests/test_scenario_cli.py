@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -254,22 +255,24 @@ def test_a_family_reports_its_first_faulty_row(tmp_path, rows, message):
 
 
 @pytest.mark.parametrize(
-    "name", ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt"])
+    "name", ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt", "multi_op"])
 def test_reports_match_the_golden_files(name, tmp_path):
     # tests/data holds `verify --format json` without wall_time_s of the bundled
     # scenarios, of `generate --seed 7 --nx 64 --ny 128`, whose 64 x 128 row
-    # sums take the vectorized path, and of tests/data/multi_tilt.json, whose
-    # oracle checks each run at six tilts; a change that claims byte-identical
-    # reports keeps them
+    # sums take the vectorized path, of tests/data/multi_tilt.json, whose
+    # oracle checks each run at six tilts, and of tests/data/multi_op.json,
+    # where every op runs at six tilts and some tilts raise while others pass
+    # (so its exit code is 1); a change that claims byte-identical reports
+    # keeps them
     if name.startswith("generated"):
         (path,) = generate_scenarios(7, nx=64, ny=128, count=1, out_dir=tmp_path)
-    elif name == "multi_tilt":
-        path = REPO / "tests" / "data" / "multi_tilt.json"
+    elif name.startswith("multi"):
+        path = REPO / "tests" / "data" / f"{name}.json"
     else:
         path = REPO / "scenarios" / f"{name}.json"
     report, code = run_scenario_file(path)
     del report["wall_time_s"]
-    assert code == 0
+    assert code == (1 if name == "multi_op" else 0)
     assert render_json(report) == (REPO / "tests" / "data" / f"{name}.report.json").read_text()
 
 
@@ -511,3 +514,25 @@ def test_checks_run_once_per_lambda(tmp_path):
     report, code = run_scenario_file(path)
     assert code == 0
     assert [r["lambda"] for r in report["records"]] == [0.5, -0.5, 2.0]
+
+
+def test_an_overflowing_oracle_step_does_not_warn(tmp_path):
+    # at lam = 800 a step on the cost 1e306 overflows and the row cannot
+    # certify; at lam = -800 the tilt itself overflows.  Both are records,
+    # and NumPy prints nothing
+    doc = {
+        "schema": 1, "name": "oracle_overflow", "y_support": [[0.0], [1.0], [2.0]],
+        "x_points": [[0.0]], "cost": [[1e306, 0.0, 1.0]], "reference": [0.2, 0.3, 0.5],
+        "lambdas": [800.0, -800.0], "p_x": [1.0], "pairs": [{"op": "variational_oracle"}],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _cli("verify", path, "--format", "json")
+    assert (code, err, caught) == (1, "", [])
+    records = json.loads(out)["records"]
+    assert [(r["error"], r["note"]) for r in records] == [
+        ("NonConvergence", "residual nan > 2.5e-13 after 800 iterations"),
+        ("InfiniteLogPartition", "log-partition value is inf"),
+    ]

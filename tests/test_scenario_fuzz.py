@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -140,3 +141,23 @@ def test_a_row_with_a_non_number_is_rejected_by_name(row, bad, data):
         _num(bad, f"row[{i}]")
     assert str(whole.value) == str(entry.value)
     assert str(whole.value).startswith(f"row[{i}]: ")
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Hypothesis's failure report imports modules that emit DeprecationWarning;
+    # under the repository's filterwarnings they must not end the run in an
+    # INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout
