@@ -235,7 +235,7 @@ def _tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
         for t, lam in enumerate(lams):
             yield [t], _outcome(lambda: _gibbs_rows(h_rows, ref.log, lam, base_mass)[0])
         return
-    log_g, k_vals = _gibbs_tilts(h_rows[0], ref.log, lams, base_mass)
+    log_g, k_vals = _gibbs_tilts(h_rows, ref.log, lams, base_mass)
     ok = [t for t, k in enumerate(k_vals) if not isinstance(k, GibbsGapError)]
     yield from (([t], k) for t, k in enumerate(k_vals) if isinstance(k, GibbsGapError))
     if ok:

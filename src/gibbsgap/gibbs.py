@@ -179,16 +179,28 @@ def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
     return a, _logsumexp(a, axis=-1) + math.log(base_mass)
 
 
-def _gibbs_tilts(h_row: np.ndarray, log_ref, lams: list, base_mass: float):
-    """The tilts of the cost row ``h_row`` at each of ``lams``, stacked by one :func:`_tilt_rows`
-    call: their log atoms, one row per tilt, and per tilt the log-partition value or the
-    :class:`InfiniteLogPartition` raised there.  The row of a tilt that raises holds no tilt.
-    Row ``k`` holds the bits of a one-row call at ``lams[k]`` alone."""
-    a, k_vals = _tilt_rows(h_row[None], log_ref, -np.array(lams)[:, None], base_mass)
+def _gibbs_tilts(h_rows: np.ndarray, log_ref, lams: list, base_mass: float):
+    """The tilts of each cost row of ``h_rows`` at each of ``lams``, stacked by one
+    :func:`_tilt_rows` call: their log atoms, one row per cost row and tilt (cost row by cost
+    row, each at every tilt), and
+    per row the log-partition value or the :class:`InfiniteLogPartition` raised there.  The row
+    of a tilt that raises holds no tilt.  Each row holds the bits of a one-row call alone."""
+    a, k_vals = _tilt_rows(h_rows[:, None], log_ref, -np.array(lams)[:, None], base_mass)
+    a, k_vals = a.reshape(-1, a.shape[-1]), k_vals.reshape(-1)
     finite = np.isfinite(k_vals)
     return a - np.where(finite, k_vals, 0.0)[:, None], [
         k if ok else InfiniteLogPartition(f"log-partition value is {k!r}")
         for k, ok in zip(k_vals.tolist(), finite.tolist())]
+
+
+def _cost_rows(h: CostTable, x_indices) -> np.ndarray:
+    """The cost rows at ``x_indices``, one per check, each validated by :meth:`CostTable.row`."""
+    return np.array([h.row(x_index) for x_index in x_indices])
+
+
+def _by_check(outcomes: list, n_checks: int, n_tilts: int) -> list:
+    """The outcomes of (check, tilt) rows, check by check, as one list of tilts per check."""
+    return [outcomes[c * n_tilts:(c + 1) * n_tilts] for c in range(n_checks)]
 
 
 def _gibbs_rows(h_rows: np.ndarray, log_ref, lam: float, base_mass: float):
@@ -281,8 +293,9 @@ def free_energy_identities(
 
     The reference-side form needs ``E_Q[h]`` and is only defined when ``q``
     is a probability measure; otherwise that side is skipped and flagged,
-    never raised.  This is the one-tilt case of the scenario runner's
-    kernel, which evaluates all of a check's tilts in one pass.
+    never raised.  This is the one-check, one-tilt case of the scenario
+    runner's kernel, which evaluates every free-energy check of a scenario
+    at all its tilts in one pass.
 
     Raises
     ------
@@ -291,34 +304,35 @@ def free_energy_identities(
     """
     h.require_matches(q)
     require_same_representation(g.measure, q)
-    return _one_tilt(_splits(h, q, x_index, atom_masses(g.measure)[None],
+    return _one_tilt(_splits(q, h.row(x_index)[None], [0], atom_masses(g.measure)[None],
                              g.measure.log_density[None], [g.lam], [g.free_energy]))
 
 
-def _splits(h: CostTable, q: Measure, x_index: int, mass_g, log_g, lams, free_energies) -> list:
+def _splits(q: Measure, h_rows: np.ndarray, row_check, mass_g, log_g, lams,
+            free_energies) -> list:
     """The :class:`FreeEnergySplit` of each row ``k`` of ``log_g``, a tilt of ``q`` at ``lams[k]``
-    with atom masses ``mass_g[k]`` and free energy ``free_energies[k]``, or the
-    :class:`InfiniteDivergence` raised there.  Each divergence and ``E_G[h]`` is one sum over
-    the rows, and ``E_Q[h]`` one sum for all."""
+    of the cost row ``h_rows[row_check[k]]``, with atom masses ``mass_g[k]`` and free energy
+    ``free_energies[k]``, or the :class:`InfiniteDivergence` raised there.  Each divergence and
+    ``E_G[h]`` is one sum over the rows, and ``E_Q[h]`` one sum over the cost rows that need it."""
     d_g_q = _kl_rows(mass_g, log_g, q.log_density[None])
     out: list = [InfiniteDivergence("kl(gibbs, reference) is infinite") if math.isinf(d) else None
                  for d in d_g_q]
     ok = [k for k, row in enumerate(out) if row is None]
     if not ok:
         return out
-    h_row = h.row(x_index)[None]
-    mean_g = _mean_rows(h_row, mass_g[ok])
-    d_q_g, mean_q = [None] * len(ok), None  # the reference side, skipped unless q is a probability
+    mean_g = _mean_rows(h_rows[[row_check[k] for k in ok]], mass_g[ok])
+    d_q_g, mean_q = [None] * len(ok), {}  # the reference side, skipped unless q is a probability
     if q.is_probability:
         d_q_g = _kl_rows(atom_masses(q)[None], q.log_density[None], log_g[ok])
-        if not all(map(math.isinf, d_q_g)):  # E_Q[h] once, if a tilt needs it
-            mean_q = _mean_rows(h_row, atom_masses(q)[None])[0]
+        need = sorted({row_check[k] for k, d in zip(ok, d_q_g) if not math.isinf(d)})
+        if need:  # E_Q[h] once per cost row, if a tilt needs it
+            mean_q = dict(zip(need, _mean_rows(h_rows[need], atom_masses(q)[None])))
     for k, mean, d_qg in zip(ok, mean_g, d_q_g, strict=True):
         via_gibbs = mean + d_g_q[k] / lams[k]
         if d_qg is not None and math.isinf(d_qg):
             out[k] = InfiniteDivergence("kl(reference, gibbs) is infinite")
             continue
-        via_reference = None if d_qg is None else mean_q - d_qg / lams[k]
+        via_reference = None if d_qg is None else mean_q[row_check[k]] - d_qg / lams[k]
         sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
         out[k] = FreeEnergySplit(
             free_energy=free_energies[k],
@@ -330,24 +344,27 @@ def _splits(h: CostTable, q: Measure, x_index: int, mass_g, log_g, lams, free_en
     return out
 
 
-def _free_energy_rows(h: CostTable, q: Measure, lams, x_index: int) -> list:
-    """:func:`free_energy_identities` of :func:`gibbs_tilt` at every tilt of ``lams``: per tilt,
-    the split and the log-partition value, or the error raised at that tilt.
+def _free_energy_rows(h: CostTable, q: Measure, lams, x_indices) -> list:
+    """:func:`free_energy_identities` of :func:`gibbs_tilt` for every check, at cost row
+    ``x_indices[c]``, and every tilt of ``lams``: per check, per tilt, the split and the
+    log-partition value, or the error raised at that tilt.
 
-    One :func:`_gibbs_tilts` call tilts row ``x_index`` at every tilt, and
-    :func:`_splits` sums over the stacked tilts, so no measure is built.
+    One :func:`_gibbs_tilts` call tilts every check's cost row at every tilt, and
+    :func:`_splits` sums over the stacked (check, tilt) rows, so no measure is built.
     """
     lams = [_require_lambda(lam) for lam in lams]
     h.require_matches(q)
-    log_g, out = _gibbs_tilts(h.row(x_index), q.log_density, lams, q.domain.base_mass)
+    h_rows = _cost_rows(h, x_indices)
+    log_g, out = _gibbs_tilts(h_rows, q.log_density, lams, q.domain.base_mass)
     ok = [k for k, v in enumerate(out) if not isinstance(v, GibbsGapError)]
-    log_g = log_g[ok]
-    free_energies = [_require_free_energy(-out[k] / lams[k], out[k], lams[k]) for k in ok]
-    splits = _splits(h, q, x_index, np.exp(log_g) * q.domain.base_mass, log_g,
-                     [lams[k] for k in ok], free_energies)
+    log_g, row_lams = log_g[ok], [lams[k % len(lams)] for k in ok]
+    free_energies = [_require_free_energy(-out[k] / lam, out[k], lam)
+                     for k, lam in zip(ok, row_lams)]
+    splits = _splits(q, h_rows, [k // len(lams) for k in ok],
+                     np.exp(log_g) * q.domain.base_mass, log_g, row_lams, free_energies)
     for k, split in zip(ok, splits, strict=True):
         out[k] = split if isinstance(split, GibbsGapError) else (split, out[k])
-    return out
+    return _by_check(out, len(h_rows), len(lams))
 
 
 def _one_tilt(outcomes: list):
@@ -368,49 +385,70 @@ class _OracleRow(NamedTuple):
     free_energy: float
 
 
-def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int) -> list:
-    """The variational oracle at every tilt of ``lams``, one row per tilt, stepped in lockstep.
+#: Past this step, every 8 steps, the oracle checks whether a step left a row's
+#: iterate unchanged, bit for bit; such a row would repeat that state to its last
+#: step.  A row that certifies halves its distance to the optimum on each step
+#: and most stop within about 50, before the check starts.
+_STALL_AFTER = 64
 
-    One :func:`_gibbs_tilts` call tilts row ``x_index`` at every tilt; the rows
-    then step together, each frozen at its own certificate or stopped with its
-    own error.  Row ``k`` does the arithmetic of a call at ``lams[k]`` alone, so
-    it holds the same bits.  A step that overflows leaves a row that cannot
-    certify; it is reported as that row's :class:`NonConvergence`, not warned.
-    Returns, per tilt, an :class:`_OracleRow` or the :class:`InfiniteLogPartition`
-    or :class:`NonConvergence` raised at that tilt.
+
+def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list:
+    """The variational oracle of every check at every tilt of ``lams``: check ``c`` at cost
+    row ``x_indices[c]`` with at most ``iters[c]`` steps.  One row per check and tilt, all
+    stepped in lockstep.
+
+    One :func:`_gibbs_tilts` call tilts every check's cost row at every tilt;
+    the rows then step together, each frozen at its own certificate or stopped
+    with its own error after its own ``iters``.  Row ``(c, k)`` does the
+    arithmetic of a call of check ``c`` at ``lams[k]`` alone, so it holds the
+    same bits.  A step that overflows leaves a row that cannot certify; it is
+    reported as that row's :class:`NonConvergence`, not warned.  A row whose
+    step leaves its iterate unchanged, bit for bit, would repeat that state to
+    its last step, so it ends at once with the :class:`NonConvergence` it would
+    reach there.  Returns, per check, per tilt, an :class:`_OracleRow` or the
+    :class:`InfiniteLogPartition` or :class:`NonConvergence` raised there.
     """
     if not isinstance(q, FiniteMeasure):
         raise RepresentationMismatch("the variational oracle works on finite supports")
     lams = [_require_lambda(lam) for lam in lams]
     h.require_matches(q)
-    log_g, k_vals = _gibbs_tilts(h.row(x_index), q.log_density, lams, q.domain.base_mass)
-    col = np.array(lams)[:, None]
+    h_rows = _cost_rows(h, x_indices)
+    n_t = len(lams)
+    log_g, k_vals = _gibbs_tilts(h_rows, q.log_density, lams, q.domain.base_mass)
+    col = np.array(lams * len(h_rows))[:, None]  # the tilt of each (check, tilt) row
     tol = np.minimum(1e-10, 2e-10 / np.abs(col[:, 0]))
+    cap = [n for n in iters for _ in lams]  # the iters of each row
     out: list = [k if isinstance(k, GibbsGapError) else None for k in k_vals]
 
     live = q.log_density > -math.inf
-    h_live = h.row(x_index)[live][None]  # on the atoms of Q
+    h_live = h_rows[:, live]  # on the atoms of Q
     log_qa = q.log_density[live][None]
-    rows = np.flatnonzero([row is None for row in out])  # the tilt of each row still stepping
+    rows = np.flatnonzero([row is None for row in out])  # the (check, tilt) of each row stepping
     log_p = np.repeat(log_qa - _logsumexp(log_qa), rows.size, axis=0)
-    final, n_steps = np.empty((len(lams), log_qa.shape[1])), [0] * len(lams)
-    lam, row_tol, steps = col[rows], tol[rows], 0
+    final, n_steps = np.empty((len(out), log_qa.shape[1])), [0] * len(out)
+    row_h, lam, row_tol, row_cap = h_live[rows // n_t], col[rows], tol[rows], np.array(cap)[rows]
+    steps, first_cap = 0, min(cap, default=0)
     with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows cannot certify
         while rows.size:
-            grad = h_live + (log_p - log_qa + 1.0) / lam
+            grad = row_h + (log_p - log_qa + 1.0) / lam
             resid = grad.max(axis=1) - grad.min(axis=1)
             done = resid <= row_tol
-            stop = done | (steps >= iters)
+            stop = done | (steps >= row_cap) if steps >= first_cap else done
+            if steps > _STALL_AFTER and steps % 8 == 1:  # the last step left the iterate as it was
+                stop = stop | (log_p.view(np.int64) == before.view(np.int64)).all(axis=1)
             if stop.any():
                 for i in np.flatnonzero(stop).tolist():
                     k = rows[i]
                     if done[i]:
                         final[k], n_steps[k] = log_p[i], steps
-                    else:
+                    else:  # out of steps, or stalled: then its last step has this residual
                         out[k] = NonConvergence(f"residual {float(resid[i])!r} > {float(tol[k])!r} "
-                                                f"after {steps} iterations")
+                                                f"after {max(steps, cap[k])} iterations")
                 go = ~stop
-                rows, lam, row_tol, log_p, grad = rows[go], lam[go], row_tol[go], log_p[go], grad[go]
+                rows, row_h, lam, row_tol, row_cap, log_p, grad = (
+                    a[go] for a in (rows, row_h, lam, row_tol, row_cap, log_p, grad))
+            if steps >= _STALL_AFTER and steps % 8 == 0:
+                before = log_p.copy()
             log_p -= 0.5 * lam * grad
             log_p -= _logsumexp(log_p, axis=-1)[:, None]
             steps += 1
@@ -418,8 +456,10 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int)
     ok = [k for k, row in enumerate(out) if row is None]  # the certified rows
     log_p = final[ok]
     p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
-    for k, mean, div in zip(ok, _mean_rows(h_live, p), _kl_rows(p, log_p, log_qa), strict=True):
-        value, free_energy = mean + div / lams[k], -k_vals[k] / lams[k]
+    means = _mean_rows(h_live[[k // n_t for k in ok]], p)
+    for k, mean, div in zip(ok, means, _kl_rows(p, log_p, log_qa), strict=True):
+        lam = lams[k % n_t]
+        value, free_energy = mean + div / lam, -k_vals[k] / lam
         if abs(value - free_energy) > 1e-6:
             out[k] = NonConvergence(
                 f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
@@ -428,7 +468,7 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_index: int, iters: int)
         log_full = np.full(live.shape, -math.inf)
         log_full[live] = final[k]
         out[k] = _OracleRow(log_full, log_g[k], value, free_energy)
-    return out
+    return _by_check(out, len(h_rows), n_t)
 
 
 def variational_oracle(
@@ -452,10 +492,17 @@ def variational_oracle(
     must also land within 1e-6 of the closed-form free energy.  If it does
     not, or ``iters`` steps leave ``r`` above the tolerance,
     :class:`~gibbsgap.errors.NonConvergence` is raised: the iterate is never
-    silently returned as if optimal.  ``seed`` is kept for existing callers
+    silently returned as if optimal.  Where a step leaves the iterate
+    unchanged bit for bit (the residual of a large ``|lam|`` can stop above
+    a tolerance finer than its rounding), every later step repeats it, so
+    the oracle stops there and raises the
+    :class:`~gibbsgap.errors.NonConvergence` of ``iters`` steps at once:
+    the same residual and message.  It looks for such a state every 8 steps
+    past step 64, where most rows that certify have stopped.  ``seed`` is kept for existing callers
     and no longer affects the result.  Finite-support references only.
-    This is the one-tilt case of the scenario runner's oracle, which steps
-    all of a check's tilts as rows of one loop.
+    This is the one-check, one-tilt case of the scenario runner's oracle,
+    which steps every oracle check of a scenario at all its tilts as rows
+    of one loop.
     """
-    row = _one_tilt(_oracle_rows(h, q, [lam], x_index, iters))
+    row = _one_tilt(_oracle_rows(h, q, [lam], [x_index], [iters])[0])
     return _derived(q.domain, True, log_density=_freeze(row.log_p))

@@ -118,7 +118,12 @@ class PointSupport:
     prob_tol = PROB_TOL_FINITE
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
+        try:
+            points = np.asarray(self.points, dtype=float)
+        except ValueError:
+            if len({np.shape(p) for p in self.points}) > 1:  # NumPy's "inhomogeneous shape"
+                raise ValueError("support points must all have the same dimension") from None
+            raise
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         if points.ndim != 2:

@@ -3,12 +3,15 @@
 A scenario is a JSON document (``"schema": 1``) describing one experiment:
 a Y-representation, conditioning points, a cost table, a reference
 measure, a list of tilt parameters, an X-marginal, named conditional
-families, and a list of identity checks (``"pairs"``).  Every check runs
-at all the tilt parameters in one kernel call, in declaration order, and
-the outcome is a report with one record per (check, lambda).  A kernel
-checks its inputs and sums the terms that do not depend on the tilt once,
-and the rest at each tilt; the tilts of a single cost row are stacked as
-the rows of one sum.  The results are those of one call per tilt.
+families, and a list of identity checks (``"pairs"``).  The checks of
+each op run at all the tilt parameters in one op call, and the outcome is
+a report with one record per (check, lambda), in declaration order.  The
+oracle and the free-energy identities put every check's cost row at every
+tilt on the rows of one kernel call; the gap ops make one kernel call per
+check.  A kernel checks its inputs and sums the terms that do not depend on
+the tilt once, and the rest at each tilt; the tilts of a single cost row
+are stacked as the rows of one sum.  The results are those of one call per
+check and tilt.
 
 Numeric scenario fields may be JSON numbers or decimal strings
 (``"0.1"``); strings go through ordinary round-to-nearest float parsing,
@@ -18,9 +21,11 @@ normalized to probabilities at load time; the reference is taken as-is
 
 A check passes when its discrepancy is within tolerance.  A check that
 declares ``"expect": "error:Name"`` passes exactly when running it raises
-that error — designed-violation scenarios exit 0.  Tolerance defaults to
-1e-10 for finite supports and 1e-6 for grids; a per-check ``tolerance``
-beats the runner-level override, which beats the default.
+that error — designed-violation scenarios exit 0.  ``Name`` must be an
+error a check can raise: a :class:`~gibbsgap.errors.GibbsGapError`
+subclass other than :class:`~gibbsgap.errors.ScenarioError`.  Tolerance
+defaults to 1e-10 for finite supports and 1e-6 for grids; a per-check
+``tolerance`` beats the runner-level override, which beats the default.
 
 Report JSON is schema-stable (``"schema": 1``): records carry the check
 name, the identity tag, lambda, direct and closed-form values, the term
@@ -42,6 +47,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import errors
 from .errors import GibbsGapError, ScenarioError
 from .gaps import (
     _common_gap,
@@ -50,6 +56,7 @@ from .gaps import (
     _gibbs_marginal,
     _marginal,
     _mixture_gap,
+    _outcome,
     _relative_gap,
 )
 from .gibbs import CostTable, _free_energy_rows, _oracle_rows
@@ -288,9 +295,12 @@ def _build_scenario(doc: dict) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # the op table: each op's identity tag, parameters and runner, declared once.
-# A runner makes one kernel call with all of a check's tilts and returns one
-# outcome per tilt; the error of a tilt stays at its tilt, and an error raised
-# before any tilt is the outcome at each.  Parameters are validated against
+# A runner receives every check of its op and all the tilts, and returns per
+# check one outcome per tilt.  The oracle and the free-energy identities step
+# all (check, tilt) rows in one kernel call; a gap runner makes one kernel
+# call per check.  The error of a tilt stays at its tilt; an error a check
+# raises before any tilt is the outcome at each of its tilts, and one the
+# runner raises is that of every check.  Parameters are validated against
 # ``_PARAMS`` at load time, so a runner meets only the library's errors, and
 # those are check outcomes.
 
@@ -351,11 +361,12 @@ def _pair(p: dict) -> tuple[int, Measure, Measure]:
     return xi, p["p1"][xi], p["p2"][xi]
 
 
-def _free_energy(scn: Scenario, p: dict, lams) -> list:
-    """The free-energy identities at every tilt in one call: a tilt's row carries its split
-    and its log-partition value."""
-    rows = _free_energy_rows(scn.cost, scn.reference, lams, p["x_index"])
-    return [row if isinstance(row, GibbsGapError) else _split_fields(*row) for row in rows]
+def _free_energy(scn: Scenario, ps: list, lams) -> list:
+    """The free-energy identities of every check at every tilt in one call: a row carries its
+    split and its log-partition value."""
+    checks = _free_energy_rows(scn.cost, scn.reference, lams, [p["x_index"] for p in ps])
+    return [[row if isinstance(row, GibbsGapError) else _split_fields(*row) for row in rows]
+            for rows in checks]
 
 
 def _split_fields(split, log_partition: float) -> dict[str, Any]:
@@ -373,31 +384,35 @@ def _split_fields(split, log_partition: float) -> dict[str, Any]:
     }
 
 
-def _oracle(scn: Scenario, p: dict, lams) -> list:
-    """The oracle at every tilt in one call: its rows carry the objective and the tilt
-    that the record compares."""
-    rows = _oracle_rows(scn.cost, scn.reference, lams, p["x_index"], p["iters"])
-    return [row if isinstance(row, GibbsGapError) else {
+def _oracle(scn: Scenario, ps: list, lams) -> list:
+    """The oracle of every check at every tilt in one call: its rows carry the objective and
+    the tilt that the record compares."""
+    checks = _oracle_rows(scn.cost, scn.reference, lams, [p["x_index"] for p in ps],
+                          [p["iters"] for p in ps])
+    return [[row if isinstance(row, GibbsGapError) else {
         "direct": row.objective,
         "closed_form": row.free_energy,
         "discrepancy": abs(row.objective - row.free_energy),
         "terms": {"objective": row.objective, "total_variation":
                   0.5 * float(np.abs(np.exp(row.log_p) - np.exp(row.log_g)).sum())},
-    } for row in rows]
+    } for row in rows] for rows in checks]
 
 
 class _Op(NamedTuple):
     tag: str
     params: tuple[str, ...]
-    # (scenario, params, lambdas) -> one outcome per lambda: the record fields or the
-    # GibbsGapError raised at that lambda; a GibbsGapError it raises is the outcome at each
-    run: Callable[[Scenario, dict, tuple[float, ...]], list]
+    # (scenario, the params of each check, lambdas) -> per check, one outcome per lambda (the
+    # record fields or the GibbsGapError raised at that lambda) or the GibbsGapError raised
+    # before any lambda; a GibbsGapError it raises is the outcome of each check
+    run: Callable[[Scenario, list, tuple[float, ...]], list]
 
 
 def _gap_op(tag: str, params: tuple[str, ...], gaps) -> _Op:
-    """The op of the decomposition kernel ``gaps(scn, params, lambdas)``."""
-    return _Op(tag, params, lambda scn, p, lams: [
-        d if isinstance(d, GibbsGapError) else _fields(d) for d in gaps(scn, p, lams)])
+    """The op that maps the decomposition kernel ``gaps(scn, params, lambdas)`` over its
+    checks, each keeping the error it raises before any tilt."""
+    def one(scn: Scenario, p: dict, lams) -> list:
+        return [d if isinstance(d, GibbsGapError) else _fields(d) for d in gaps(scn, p, lams)]
+    return _Op(tag, params, lambda scn, ps, lams: [_outcome(one, scn, p, lams) for p in ps])
 
 
 _OPS = {
@@ -436,6 +451,13 @@ _OPS = {
 }
 
 
+#: The errors a check can end in: every subclass of GibbsGapError but ScenarioError, which
+#: only loading raises.
+_CHECK_ERRORS = frozenset(
+    name for name, obj in vars(errors).items() if isinstance(obj, type)
+    and issubclass(obj, GibbsGapError) and obj not in (GibbsGapError, ScenarioError))
+
+
 def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
     """Validate one check against its op's parameters; fill defaults and label."""
     where = f"pairs[{index}]"
@@ -463,6 +485,9 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
         if not (isinstance(raw, str) and raw.startswith("error:") and len(raw) > 6):
             raise ScenarioError(f"{where}: 'expect' must look like 'error:ErrorName'")
         expect = raw[len("error:"):]
+        if expect not in _CHECK_ERRORS:
+            raise ScenarioError(f"{where}: 'expect' names {expect!r}, which is no error a check "
+                                f"can raise; choose from {sorted(_CHECK_ERRORS)}")
     tolerance = None
     if "tolerance" in c:
         tolerance = _num(c["tolerance"], f"{where}.tolerance")
@@ -482,22 +507,30 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
 
 
 def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, Any]:
-    """Run every check at all its lambdas in one kernel call; return the report, one
-    record per (check, lambda), as a plain dict."""
+    """Run every check at all its lambdas, the checks of each op in one kernel call; return
+    the report, one record per (check, lambda) in declaration order, as a plain dict."""
     t0 = time.perf_counter()
+    groups: dict[str, list[int]] = {}  # the checks of each op, in declaration order
+    for i, check in enumerate(scn.checks):
+        groups.setdefault(check.op, []).append(i)
+    outcomes: list = [None] * len(scn.checks)
+    for op_name, members in groups.items():
+        try:
+            results = _OPS[op_name].run(scn, [scn.checks[i].params for i in members], scn.lambdas)
+        except GibbsGapError as e:  # raised before any check's tilt, so the outcome of each
+            results = [e.with_traceback(None)] * len(members)
+        for i, result in zip(members, results, strict=True):
+            outcomes[i] = ([result] * len(scn.lambdas) if isinstance(result, GibbsGapError)
+                           else result)
     records = []
     n_pass = 0
-    for check in scn.checks:
+    for check, check_outcomes in zip(scn.checks, outcomes):
         tol = check.tolerance if check.tolerance is not None else (
             tolerance if tolerance is not None else
             (DEFAULT_TOL_GRID if scn.is_grid else DEFAULT_TOL_FINITE)
         )
         op = _OPS[check.op]
-        try:
-            outcomes = op.run(scn, check.params, scn.lambdas)
-        except GibbsGapError as e:  # raised before any tilt, so the outcome at each
-            outcomes = [e.with_traceback(None)] * len(scn.lambdas)
-        for lam, outcome in zip(scn.lambdas, outcomes, strict=True):
+        for lam, outcome in zip(scn.lambdas, check_outcomes, strict=True):
             rec: dict[str, Any] = {
                 "check": check.label,
                 "identity": op.tag,

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
+from gibbsgap import gibbs
 from gibbsgap.gibbs import _logsumexp, _oracle_rows
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
@@ -481,9 +483,9 @@ def _one_tilt_loop(h, q, lam, iters):
 def _assert_rows_are_one_tilt_calls(h, q, lams, iters) -> list:
     """Each row of one oracle call at ``lams`` holds the bits, or raises the error, of
     the kernel, of ``variational_oracle`` and of a plain loop at its tilt alone."""
-    rows = _oracle_rows(h, q, lams, 0, iters)
+    (rows,) = _oracle_rows(h, q, lams, [0], [iters])
     for lam, row in zip(lams, rows, strict=True):
-        (one,) = _oracle_rows(h, q, [lam], 0, iters)
+        ((one,),) = _oracle_rows(h, q, [lam], [0], [iters])
         loop = _one_tilt_loop(h, q, lam, iters)
         if isinstance(one, Exception):
             assert (type(row), str(row)) == (type(one), str(one)) == (type(loop), str(loop))
@@ -533,3 +535,24 @@ def test_oracle_rows_stop_at_their_own_steps():
         "_OracleRow", "NonConvergence", "_OracleRow", "NonConvergence", "InfiniteLogPartition"]
     assert str(rows[3]).endswith("after 40 iterations")
     assert rows[0].log_p[1] == -math.inf
+
+
+def test_a_stalled_oracle_row_ends_with_the_error_of_its_last_step():
+    # at |lam| >= 1e6 the residual stops above a tolerance finer than its rounding:
+    # a step leaves the iterate as it was after about 55 steps, and every later step
+    # would repeat it, so the row ends there with the message of its 10000th step
+    pts = y_points(5)
+    h = CostTable.on_support([[0.0]], pts, [[0.0, 1.0, -0.5, 2.0, 0.25]])
+    q = counting_measure(pts)
+    lams = [1e8, -1e6, 1e300]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return _logsumexp(*args, **kwargs)
+
+    with mock.patch.object(gibbs, "_logsumexp", counted):
+        (rows,) = _oracle_rows(h, q, lams, [0], [10_000])
+    assert len(calls) < 100  # one per step, and two more
+    assert all(str(row).endswith("after 10000 iterations") for row in rows)
+    _assert_rows_are_one_tilt_calls(h, q, lams, 10_000)

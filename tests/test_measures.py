@@ -431,6 +431,20 @@ def test_grid_type_roundtrip():
     assert g.n_cells == 2 and g.lo == -1.0 and g.hi == 1.0
 
 
+@pytest.mark.parametrize("points", [
+    [[0.0], [1.0, 2.0]], [0.0, [1.0, 2.0]], [np.array([0.0]), np.array([1.0, 2.0])]])
+def test_ragged_support_points_are_rejected_by_name(points):
+    with pytest.raises(ValueError, match="^support points must all have the same dimension$"):
+        PointSupport(points)
+    with pytest.raises(ValueError, match="^support points must all have the same dimension$"):
+        CostTable.on_support(points, [[0.0]], [[1.0]] * len(points))
+
+
+def test_a_point_that_is_no_number_keeps_numpys_error():
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        PointSupport([[0.0], ["x"]])
+
+
 def test_constructors_copy_the_callers_arrays():
     pts, w = np.array([[0.0], [1.0], [2.0]]), np.array([0.2, 0.3, 0.5])
     v, x = np.array([0.5, 1.5]), np.array([[0.0], [1.0]])

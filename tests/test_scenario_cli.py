@@ -128,6 +128,33 @@ def test_unmet_expectation_is_a_failure(tmp_path):
     assert "no error was raised" in report["records"][0]["note"]
 
 
+@pytest.mark.parametrize("name", ["Nope", "ValueError", "ScenarioError", "GibbsGapError"])
+def test_an_expected_error_no_check_can_raise_exits_2_naming_the_check(tmp_path, name):
+    doc = json.loads(TWO_POINT.read_text())
+    doc["pairs"][1]["expect"] = f"error:{name}"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=rf"^pairs\[1\]: 'expect' names '{name}'"):
+        load_scenario(path)
+    code, out, err = _cli("verify", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: pairs[1]: 'expect'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["x_points", "y_support"])
+def test_ragged_points_exit_2_naming_the_dimension(tmp_path, key):
+    doc = json.loads(TWO_POINT.read_text())
+    doc[key] = [[0.0], [1.0, 2.0]]
+    if key == "x_points":
+        doc.update(cost=doc["cost"] * 2, p_x=[1.0, 1.0],
+                   families={k: rows * 2 for k, rows in doc["families"].items()})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _cli("verify", path)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.endswith("support points must all have the same dimension\n")
+
+
 def test_absurd_tolerance_forces_failure():
     report, code = run_scenario_file(TWO_POINT, tolerance=1e-30)
     assert code == 1

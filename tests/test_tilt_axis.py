@@ -8,6 +8,11 @@ same error type and message.  Two references are used:
 * the runner with the check's tilts one at a time;
 * the per-tilt runner the ops replaced, kept here: one call of the public
   one-tilt function per tilt, each error caught at its tilt.
+
+Each op also receives all of its checks at once: the oracle and the
+free-energy identities step every (check, tilt) row in one kernel call.
+The records of each check must be those of the scenario holding that check
+alone.
 """
 
 import dataclasses
@@ -39,14 +44,17 @@ from gibbsgap.scenario import _OPS, _Op, _build_scenario, _fields, _pair, _split
 
 
 def _per_tilt(run):
-    """The op that calls ``run(scn, params, lam)`` once per tilt, keeping each error at its tilt."""
-    def run_all(scn, p, lams):
+    """The op that calls ``run(scn, params, lam)`` once per check and tilt, keeping each error
+    at its tilt."""
+    def run_all(scn, ps, lams):
         out = []
-        for lam in lams:
-            try:
-                out.append(run(scn, p, lam))
-            except GibbsGapError as e:
-                out.append(e)
+        for p in ps:
+            out.append([])
+            for lam in lams:
+                try:
+                    out[-1].append(run(scn, p, lam))
+                except GibbsGapError as e:
+                    out[-1].append(e)
         return out
     return run_all
 
@@ -81,7 +89,8 @@ REFERENCE_OPS = {
        for name, gap in _PUBLIC.items()},
     "free_energy_identities": _OPS["free_energy_identities"]._replace(run=_per_tilt(_free_energy_at)),
     "variational_oracle": ORACLE._replace(
-        run=lambda scn, p, lams: [ORACLE.run(scn, p, [lam])[0] for lam in lams]),
+        run=lambda scn, ps, lams: [[ORACLE.run(scn, [p], [lam])[0][0] for lam in lams]
+                                   for p in ps]),
 }
 
 
@@ -224,3 +233,74 @@ def test_a_check_mixing_failing_and_passing_tilts_matches_its_one_tilt_calls():
         assert errors[5 * check + 1] == "InfiniteLogPartition"
         assert errors[5 * check] in (None, "NonConvergence")
     assert errors[:5] == [None, "InfiniteLogPartition", None, "InfiniteDivergence", None]
+
+
+# ---------------------------------------------------------------------------
+# the check axis: every check of an op in one call
+
+
+@st.composite
+def check_axis_docs(draw):
+    """A scenario with 1-6 oracle and 1-6 free-energy checks at repeated and distinct
+    points and 1-60 steps, and 0-3 mixture gaps, some with an alpha that raises before
+    any tilt, in a shuffled declaration order."""
+    doc = draw(scenario_docs(draw(st.integers(1, 12))))
+    xi = st.integers(0, len(doc["x_points"]) - 1)
+    doc["lambdas"] = doc["lambdas"][:4]
+    oracle = [{"op": "variational_oracle", "x_index": draw(xi), "iters": draw(st.integers(1, 60))}
+              for _ in range(draw(st.integers(1, 6)))]
+    free_energy = [{"op": "free_energy_identities", "x_index": draw(xi)}
+                   for _ in range(draw(st.integers(1, 6)))]
+    mixture = [{"op": "gap_mixture_reference", "x_index": draw(xi), "p1": "f1", "p2": "f2",
+                "alpha": draw(st.sampled_from([0.25, 0.5, 1.5]))}
+               for _ in range(draw(st.integers(0, 3)))]
+    doc["pairs"] = draw(st.permutations(oracle + free_energy + mixture))
+    return doc
+
+
+def _assert_each_check_is_its_run_alone(doc):
+    scn = _build_scenario(doc)
+    records, n = _records(scn), len(scn.lambdas)
+    for c, check in enumerate(scn.checks):
+        assert records[c * n:(c + 1) * n] == _records(dataclasses.replace(scn, checks=(check,)))
+    return run_scenario(scn)["records"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=check_axis_docs())
+def test_each_check_of_an_op_is_its_run_alone(doc):
+    records = _assert_each_check_is_its_run_alone(doc)
+    if "y_grid" in doc:  # the oracle works on finite supports only
+        assert {r["error"] for r in records if r["identity"] == "variational-optimum"} == {
+            "RepresentationMismatch"}
+
+
+def test_checks_of_one_op_keep_their_own_steps_and_cost_rows():
+    doc = {
+        "schema": 1, "name": "checks", "y_support": [[0.0], [1.0], [2.0]],
+        "x_points": [[0.0], [1.0]], "cost": [[0.5, 1.0, -1.0], [1.0, 0.0, 2.0]],
+        "reference": [0.2, 0.0, 0.8], "lambdas": [0.5, -2.0, 1e300], "p_x": [0.5, 0.5],
+        "families": {"f1": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]],
+                     "f2": [[0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},
+        "pairs": [
+            {"op": "variational_oracle", "x_index": 1, "iters": 60},
+            {"op": "free_energy_identities", "x_index": 0},
+            {"op": "variational_oracle", "x_index": 0, "iters": 5},
+            {"op": "gap_mixture_reference", "p1": "f1", "p2": "f2", "alpha": 1.5},
+            {"op": "free_energy_identities", "x_index": 1},
+            {"op": "variational_oracle", "x_index": 1, "iters": 60},
+            {"op": "gap_mixture_reference", "p1": "f1", "p2": "f2", "alpha": 0.5},
+        ],
+    }
+    records = _assert_each_check_is_its_run_alone(doc)
+    assert [r["error"] for r in records] == [  # by check, then by tilt
+        None, None, None,
+        None, None, None,
+        *["NonConvergence"] * 3,  # 5 steps are too few
+        *["AlphaOutOfRange"] * 3,  # raised before any tilt
+        None, None, None,
+        None, None, None,
+        None, None, None,
+    ]
+    assert records[0] == records[15] != records[6]
+    assert records[3]["direct"] != records[12]["direct"]
