@@ -8,156 +8,16 @@ and a scenario runner that verifies the identities numerically to tight
 tolerances.
 """
 
-from .errors import (
-    AlphaOutOfRange,
-    DuplicatePoint,
-    EmptySupport,
-    GibbsGapError,
-    IndexMismatch,
-    InfiniteDivergence,
-    InfiniteLogPartition,
-    MutualContinuityViolated,
-    NegativeWeight,
-    NonConvergence,
-    NonFiniteExpectation,
-    NonFiniteValue,
-    NonProbabilityMeasure,
-    NotAbsolutelyContinuous,
-    RepresentationMismatch,
-    ScenarioError,
-    ZeroMass,
-)
-from .measures import (
-    ConditionalFamily,
-    FiniteMeasure,
-    GridDensity,
-    GridSupport,
-    Measure,
-    PointSupport,
-    absolutely_continuous,
-    atom_masses,
-    constant_family,
-    counting_measure,
-    expectation,
-    lebesgue_grid,
-    make_finite_measure,
-    make_grid_density,
-    marginal_y,
-    mix,
-    radon_nikodym,
-    total_mass,
-)
-from .divergences import (
-    InfoSummary,
-    conditional_entropy,
-    differential_entropy,
-    info_summary,
-    kl,
-    lautum_information,
-    mutual_information,
-    shannon_entropy,
-)
-from .gibbs import (
-    CostTable,
-    FreeEnergySplit,
-    GibbsResult,
-    free_energy_identities,
-    gibbs_tilt,
-    log_partition,
-    variational_oracle,
-)
-from .gaps import (
-    GapDecomposition,
-    expected_gap_closed_form,
-    expected_gap_direct,
-    expected_gap_relative,
-    gap_closed_form,
-    gap_closed_form_relative,
-    gap_direct,
-    gap_mixture_reference,
-    gibbs_marginal_gap,
-    marginal_gap,
-)
-from .scenario import (
-    Check,
-    Scenario,
-    generate_scenarios,
-    load_scenario,
-    render_json,
-    render_text,
-    run_scenario,
-    run_scenario_file,
-)
+from . import divergences, errors, gaps, gibbs, measures, scenario
+from .divergences import *
+from .errors import *
+from .gaps import *
+from .gibbs import *
+from .measures import *
+from .scenario import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaOutOfRange",
-    "Check",
-    "ConditionalFamily",
-    "CostTable",
-    "DuplicatePoint",
-    "EmptySupport",
-    "FiniteMeasure",
-    "FreeEnergySplit",
-    "GapDecomposition",
-    "GibbsGapError",
-    "GibbsResult",
-    "GridDensity",
-    "GridSupport",
-    "IndexMismatch",
-    "InfiniteDivergence",
-    "InfiniteLogPartition",
-    "InfoSummary",
-    "Measure",
-    "MutualContinuityViolated",
-    "NegativeWeight",
-    "NonConvergence",
-    "NonFiniteExpectation",
-    "NonFiniteValue",
-    "NonProbabilityMeasure",
-    "NotAbsolutelyContinuous",
-    "PointSupport",
-    "RepresentationMismatch",
-    "Scenario",
-    "ScenarioError",
-    "ZeroMass",
-    "absolutely_continuous",
-    "atom_masses",
-    "conditional_entropy",
-    "constant_family",
-    "counting_measure",
-    "differential_entropy",
-    "expectation",
-    "expected_gap_closed_form",
-    "expected_gap_direct",
-    "expected_gap_relative",
-    "free_energy_identities",
-    "gap_closed_form",
-    "gap_closed_form_relative",
-    "gap_direct",
-    "gap_mixture_reference",
-    "generate_scenarios",
-    "gibbs_marginal_gap",
-    "gibbs_tilt",
-    "info_summary",
-    "kl",
-    "lautum_information",
-    "lebesgue_grid",
-    "load_scenario",
-    "log_partition",
-    "make_finite_measure",
-    "make_grid_density",
-    "marginal_gap",
-    "marginal_y",
-    "mix",
-    "mutual_information",
-    "radon_nikodym",
-    "render_json",
-    "render_text",
-    "run_scenario",
-    "run_scenario_file",
-    "shannon_entropy",
-    "total_mass",
-    "variational_oracle",
-]
+#: Every module's public names: a name joins the package by joining its module's ``__all__``.
+__all__ = sorted({name for module in (errors, measures, divergences, gibbs, gaps, scenario)
+                  for name in module.__all__})

@@ -11,6 +11,19 @@ few places where an infinity would otherwise poison a decomposition
 
 from __future__ import annotations
 
+__all__ = [
+    "GibbsGapError",
+    # measure construction: raised only while a measure is built
+    "NegativeWeight", "EmptySupport", "ZeroMass", "DuplicatePoint",
+    # measure operations
+    "NonProbabilityMeasure", "NonFiniteValue", "IndexMismatch", "AlphaOutOfRange",
+    "RepresentationMismatch", "NotAbsolutelyContinuous", "MutualContinuityViolated",
+    # Gibbs / variational
+    "InfiniteLogPartition", "InfiniteDivergence", "NonConvergence", "NonFiniteExpectation",
+    # scenario input
+    "ScenarioError",
+]
+
 
 class GibbsGapError(Exception):
     """Base class for all errors raised by this package."""

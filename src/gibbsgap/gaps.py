@@ -28,14 +28,14 @@ from the stored fields.
 
 Every form runs through one row kernel, at all the tilts of a call: the
 laws are stacked one row per conditioning point, their reference is tilted
-by one batched log-sum-exp, and each term is a compensated per-row sum.
-The inputs are checked, and the direct value and the terms that do not
-name the Gibbs measure are summed, once for all tilts; the Gibbs terms are
-summed at each tilt.  A single conditioning point is the one-row case, and
-its tilts are stacked as the rows of one sum; the averaged and marginal
-forms are ``p_x``-weighted compensated sums of the per-row values, tilted
-one tilt at a time.  Each public function is the one-tilt case of its
-kernel.
+by the one tilt helper of :mod:`gibbsgap.gibbs`, and each term is a
+compensated per-row sum.  The inputs are checked, and the direct value and
+the terms that do not name the Gibbs measure are summed, once for all
+tilts; the Gibbs terms are summed at each tilt.  A single conditioning
+point is the one-row case, and its tilts are stacked as the rows of one
+sum; the averaged and marginal forms are ``p_x``-weighted compensated sums
+of the per-row values, tilted one tilt at a time.  Each public function
+checks its tilt and is the one-tilt case of its kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
 checked up front and violations raise, rather than producing ``inf - inf``.
@@ -59,7 +59,7 @@ from .errors import (
     NotAbsolutelyContinuous,
 )
 from .divergences import _kl_rows
-from .gibbs import CostTable, _gibbs_rows, _gibbs_tilts, _one_tilt, _require_lambda
+from .gibbs import CostTable, _gibbs_tilts, _one_tilt, _require_lambda
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
@@ -226,20 +226,18 @@ def _decompose(identity, h, rows, weights, lams, laws, messages, log_gibbs=None,
 
 
 def _tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
-    """The tilts of ``ref`` at ``lams``, as blocks ``(tilts, log atoms)`` with one row per tilt
-    and conditioning point, or ``([tilt], error)`` where a tilt raises.  A single row is
-    tilted at all its tilts at once, the tilts stacked as rows; more rows, or a single tilt,
-    one tilt at a time."""
-    base_mass = ref.domain.base_mass
-    if len(h_rows) > 1 or len(lams) == 1:
-        for t, lam in enumerate(lams):
-            yield [t], _outcome(lambda: _gibbs_rows(h_rows, ref.log, lam, base_mass)[0])
-        return
-    log_g, k_vals = _gibbs_tilts(h_rows, ref.log, lams, base_mass)
-    ok = [t for t, k in enumerate(k_vals) if not isinstance(k, GibbsGapError)]
-    yield from (([t], k) for t, k in enumerate(k_vals) if isinstance(k, GibbsGapError))
-    if ok:
-        yield ok, log_g if len(ok) == len(lams) else log_g[ok]
+    """The tilts of ``ref`` at ``lams`` by :func:`~gibbsgap.gibbs._gibbs_tilts`, as blocks
+    ``(tilts, log atoms)`` with one row per tilt and conditioning point, or ``([tilt], error)``
+    where a tilt raises, the error of its first row that raises.  A single row is tilted at all
+    its tilts at once, the tilts stacked as rows; more rows one tilt at a time, so that only
+    one tilt's rows are held at once."""
+    for block in [range(len(lams))] if len(h_rows) == 1 else [[t] for t in range(len(lams))]:
+        log_g, k_vals = _gibbs_tilts(h_rows, ref, [lams[t] for t in block])
+        outcomes = [_outcome(_one_tilt, k_vals[j::len(block)]) for j in range(len(block))]
+        yield from (([t], k) for t, k in zip(block, outcomes) if isinstance(k, GibbsGapError))
+        ok = [j for j, k in enumerate(outcomes) if not isinstance(k, GibbsGapError)]
+        if ok:
+            yield [block[j] for j in ok], log_g if len(ok) == len(block) else log_g[ok]
 
 
 def _require_continuity(rows, *checks, error=NotAbsolutelyContinuous) -> None:
@@ -304,12 +302,11 @@ def gap_closed_form(
     Requires ``p1 << q`` and ``p2 << q``; the reference may be any
     sigma-finite measure in the same representation.
     """
-    return _one_tilt(_common_gap(h, x_index, p1, p2, q, [lam]))
+    return _one_tilt(_common_gap(h, x_index, p1, p2, q, [_require_lambda(lam)]))
 
 
 def _common_gap(h, x_index, p1, p2, q, lams) -> list:
     """:func:`gap_closed_form` at every tilt of ``lams``."""
-    lams = [_require_lambda(lam) for lam in lams]
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     laws = {"p1": _row(p1), "p2": _row(p2), "ref": _row(q)}
     messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
@@ -334,12 +331,11 @@ def gap_closed_form_relative(
     Only the stated one-sided absolute continuity is needed; the opposite
     direction may legitimately fail for the same pair.
     """
-    return _one_tilt(_relative_gap(h, x_index, p1, p2, direction, [lam]))
+    return _one_tilt(_relative_gap(h, x_index, p1, p2, direction, [_require_lambda(lam)]))
 
 
 def _relative_gap(h, x_index, p1, p2, direction, lams) -> list:
     """:func:`gap_closed_form_relative` at every tilt of ``lams``."""
-    lams = [_require_lambda(lam) for lam in lams]
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     identity, messages = _relative(direction)
     laws = {"p1": _row(p1), "p2": _row(p2)}
@@ -359,12 +355,11 @@ def gap_mixture_reference(
     A strict mixture dominates both ingredients, so this works even when
     ``p1`` and ``p2`` are mutually singular.
     """
-    return _one_tilt(_mixture_gap(h, x_index, p1, p2, alpha, [lam]))
+    return _one_tilt(_mixture_gap(h, x_index, p1, p2, alpha, [_require_lambda(lam)]))
 
 
 def _mixture_gap(h, x_index, p1, p2, alpha, lams) -> list:
     """:func:`gap_mixture_reference` at every tilt of ``lams``."""
-    lams = [_require_lambda(lam) for lam in lams]
     decs = _common_gap(h, x_index, p1, p2, mix(p1, p2, alpha), lams)
     return [d if isinstance(d, GibbsGapError) else replace(d, reference_tag=f"mixture({alpha:g})")
             for d in decs]
@@ -401,12 +396,11 @@ def expected_gap_closed_form(
     respect to ``q``; the aggregated terms are the p_x-weighted sums of the
     per-point divergences, accumulated by compensated summation.
     """
-    return _one_tilt(_expected_common(h, cond1, cond2, p_x, q, [lam]))
+    return _one_tilt(_expected_common(h, cond1, cond2, p_x, q, [_require_lambda(lam)]))
 
 
 def _expected_common(h, cond1, cond2, p_x, q, lams) -> list:
     """:func:`expected_gap_closed_form` at every tilt of ``lams``."""
-    lams = [_require_lambda(lam) for lam in lams]
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     laws = {"p1": p1, "p2": p2, "ref": _row(q)}
     messages = [f"cond{c} member {{k}} is not absolutely continuous w.r.t. q" for c in (1, 2)]
@@ -427,12 +421,11 @@ def expected_gap_relative(
     (``direction="P2-ref"``) or first (``direction="P1-ref"``) member, so
     the reference varies with x.
     """
-    return _one_tilt(_expected_relative(h, cond1, cond2, p_x, direction, [lam]))
+    return _one_tilt(_expected_relative(h, cond1, cond2, p_x, direction, [_require_lambda(lam)]))
 
 
 def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
     """:func:`expected_gap_relative` at every tilt of ``lams``."""
-    lams = [_require_lambda(lam) for lam in lams]
     identity, messages = _relative(direction)
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     require_same_representation(cond1[live[0]], cond2[live[0]])
@@ -446,7 +439,6 @@ def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
 def _marginal(h, cond, p_x, q, lams, tilted=False) -> list:
     """:func:`marginal_gap` at every tilt of ``lams``; ``tilted`` when ``cond`` is ``q``'s Gibbs
     family at the one tilt of ``lams``, so its rows are the tilt."""
-    lams = [_require_lambda(lam) for lam in lams]
     live, weights, (members,) = _aligned(h, p_x, cond)
     laws = {"p2": members, "ref": _row(q)}
     _require_continuity(
@@ -478,7 +470,7 @@ def marginal_gap(
     (:class:`MutualContinuityViolated` otherwise — the lautum term and the
     cross terms would degenerate to ``inf - inf``).
     """
-    return _one_tilt(_marginal(h, cond, p_x, q, [lam]))
+    return _one_tilt(_marginal(h, cond, p_x, q, [_require_lambda(lam)]))
 
 
 def gibbs_marginal_gap(
@@ -494,13 +486,12 @@ def gibbs_marginal_gap(
     closed form collapses to ``(mutual + lautum)/lam``.  Both cross terms
     are still computed and stored so the collapse is auditable.
     """
-    return _one_tilt(_gibbs_marginal(h, q, [lam], p_x))
+    return _one_tilt(_gibbs_marginal(h, q, [_require_lambda(lam)], p_x))
 
 
 def _gibbs_marginal(h, q, lams, p_x) -> list:
     """:func:`gibbs_marginal_gap` at every tilt of ``lams``: the family is the tilt, so no term
     is tilt-free, and each tilt is its own :func:`_marginal`."""
-    lams = [_require_lambda(lam) for lam in lams]
     if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     h.require_matches(q)
@@ -508,7 +499,8 @@ def _gibbs_marginal(h, q, lams, p_x) -> list:
 
 
 def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
-    log_gibbs = _gibbs_rows(h.values, q.log_density, lam, q.domain.base_mass)[0]
+    log_gibbs, k_vals = _gibbs_tilts(h.values, _row(q), [lam])
+    _one_tilt(k_vals)
     log_gibbs.flags.writeable = False
     family = _family(h.x_points, q.domain, log_density=log_gibbs)
     dec = _one_tilt(_marginal(h, family, p_x, q, [lam], tilted=True))

@@ -20,6 +20,13 @@ and is the optimal value of ``E_P[h] + kl(P, Q)/lam`` over probability
 measures ``P`` (minimal for ``lam > 0``, maximal for ``lam < 0``), attained
 at ``G``.  A multiplicative-weights iteration recovers the optimum
 numerically and serves as an independent check of the closed form.
+
+Every Gibbs measure here, in this module and in :mod:`gibbsgap.gaps`, comes
+from one tilt helper, ``_gibbs_tilts``: the cost rows at the tilts, against
+one reference row or one per cost row, by one batched log-sum-exp, with the
+log-partition value or its :class:`~gibbsgap.errors.InfiniteLogPartition`
+per row.  A tilt is checked once, where it enters: in each public function
+that takes one, or in the scenario loader.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ from .measures import (
     _logsumexp,
     _mean_rows,
     _point_support,
+    _row,
+    _Rows,
     atom_masses,
     require_same_representation,
 )
@@ -70,9 +79,12 @@ MIN_ABS_LAMBDA = 1e-12
 
 
 def _require_lambda(lam: float) -> float:
+    """``lam`` as a float, once it is a legal tilt.  Each public one-tilt function checks its
+    tilt here, before any other check, and the scenario loader checks against the same bound;
+    the kernels take tilts that have passed."""
     lam = float(lam)
     if not math.isfinite(lam) or abs(lam) < MIN_ABS_LAMBDA:
-        raise ValueError(f"tilt parameter must satisfy |lam| >= 1e-12, got {lam!r}")
+        raise ValueError(f"tilt parameter must satisfy |lam| >= {MIN_ABS_LAMBDA:g}, got {lam!r}")
     return lam
 
 
@@ -172,20 +184,22 @@ def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
 
 def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
     """``t * h + log ref`` and the log-partition value of each row, by one batched
-    log-sum-exp; :func:`log_partition` and :func:`gibbs_tilt` are its one-row case."""
+    log-sum-exp; :func:`log_partition` is its one-row case."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
         a = t * h_rows + log_ref
     a[np.isnan(a)] = -math.inf  # a null atom stays null, however large t * h is there
     return a, _logsumexp(a, axis=-1) + math.log(base_mass)
 
 
-def _gibbs_tilts(h_rows: np.ndarray, log_ref, lams: list, base_mass: float):
-    """The tilts of each cost row of ``h_rows`` at each of ``lams``, stacked by one
-    :func:`_tilt_rows` call: their log atoms, one row per cost row and tilt (cost row by cost
-    row, each at every tilt), and
-    per row the log-partition value or the :class:`InfiniteLogPartition` raised there.  The row
-    of a tilt that raises holds no tilt.  Each row holds the bits of a one-row call alone."""
-    a, k_vals = _tilt_rows(h_rows[:, None], log_ref, -np.array(lams)[:, None], base_mass)
+def _gibbs_tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
+    """The one tilt helper: the Gibbs tilts of each cost row of ``h_rows`` at each of ``lams``,
+    stacked by one :func:`_tilt_rows` call.  ``ref`` holds one reference row for all cost rows
+    or one per cost row.  Returns their log atoms, one row per cost row and tilt (cost row by
+    cost row, each at every tilt), and per row the log-partition value or the
+    :class:`InfiniteLogPartition` raised there.  The row of a tilt that raises holds no tilt.
+    Each row holds the bits of a one-row call alone."""
+    a, k_vals = _tilt_rows(h_rows[:, None], ref.log[:, None], -np.array(lams)[:, None],
+                           ref.domain.base_mass)
     a, k_vals = a.reshape(-1, a.shape[-1]), k_vals.reshape(-1)
     finite = np.isfinite(k_vals)
     return a - np.where(finite, k_vals, 0.0)[:, None], [
@@ -193,24 +207,17 @@ def _gibbs_tilts(h_rows: np.ndarray, log_ref, lams: list, base_mass: float):
         for k, ok in zip(k_vals.tolist(), finite.tolist())]
 
 
-def _cost_rows(h: CostTable, x_indices) -> np.ndarray:
-    """The cost rows at ``x_indices``, one per check, each validated by :meth:`CostTable.row`."""
-    return np.array([h.row(x_index) for x_index in x_indices])
+def _cost_tilts(h: CostTable, q: Measure, lams: list, x_indices):
+    """The cost rows at ``x_indices``, one per check, each validated by :meth:`CostTable.row`
+    once ``q`` lives on ``h``'s Y-support, and their :func:`_gibbs_tilts` of ``q`` at ``lams``."""
+    h.require_matches(q)
+    h_rows = np.array([h.row(x_index) for x_index in x_indices])
+    return (h_rows, *_gibbs_tilts(h_rows, _row(q), lams))
 
 
 def _by_check(outcomes: list, n_checks: int, n_tilts: int) -> list:
     """The outcomes of (check, tilt) rows, check by check, as one list of tilts per check."""
     return [outcomes[c * n_tilts:(c + 1) * n_tilts] for c in range(n_checks)]
-
-
-def _gibbs_rows(h_rows: np.ndarray, log_ref, lam: float, base_mass: float):
-    """Log atoms ``log ref - lam * h - log_partition`` of each row's tilt, and the log-partition
-    values; :class:`InfiniteLogPartition` at the first row whose value is not finite."""
-    a, k_vals = _tilt_rows(h_rows, log_ref, -lam, base_mass)
-    if not np.isfinite(k_vals).all():
-        bad = float(k_vals[~np.isfinite(k_vals)][0])
-        raise InfiniteLogPartition(f"log-partition value is {bad!r}")
-    return a - k_vals[:, None], k_vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +264,8 @@ def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResul
         if the normalization constant is not finite.
     """
     lam = _require_lambda(lam)
-    h.require_matches(q)
-    log_g, k_vals = _gibbs_rows(h.row(x_index)[None], q.log_density, lam, q.domain.base_mass)
-    k_val = float(k_vals[0])
+    _, log_g, k_vals = _cost_tilts(h, q, [lam], [x_index])
+    k_val = _one_tilt(k_vals)
     return GibbsResult(
         measure=_derived(q.domain, True, log_density=_freeze(log_g[0])),
         log_partition=k_val,
@@ -352,10 +358,7 @@ def _free_energy_rows(h: CostTable, q: Measure, lams, x_indices) -> list:
     One :func:`_gibbs_tilts` call tilts every check's cost row at every tilt, and
     :func:`_splits` sums over the stacked (check, tilt) rows, so no measure is built.
     """
-    lams = [_require_lambda(lam) for lam in lams]
-    h.require_matches(q)
-    h_rows = _cost_rows(h, x_indices)
-    log_g, out = _gibbs_tilts(h_rows, q.log_density, lams, q.domain.base_mass)
+    h_rows, log_g, out = _cost_tilts(h, q, lams, x_indices)
     ok = [k for k, v in enumerate(out) if not isinstance(v, GibbsGapError)]
     log_g, row_lams = log_g[ok], [lams[k % len(lams)] for k in ok]
     free_energies = [_require_free_energy(-out[k] / lam, out[k], lam)
@@ -368,11 +371,12 @@ def _free_energy_rows(h: CostTable, q: Measure, lams, x_indices) -> list:
 
 
 def _one_tilt(outcomes: list):
-    """The one outcome of a tilt-axis kernel called at a single tilt, raised if it is an error."""
-    (outcome,) = outcomes
-    if isinstance(outcome, GibbsGapError):
-        raise outcome
-    return outcome
+    """The first outcome of a kernel called at a single tilt, once none is an error: the first
+    error raises."""
+    for outcome in outcomes:
+        if isinstance(outcome, GibbsGapError):
+            raise outcome
+    return outcomes[0]
 
 
 class _OracleRow(NamedTuple):
@@ -410,11 +414,8 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     """
     if not isinstance(q, FiniteMeasure):
         raise RepresentationMismatch("the variational oracle works on finite supports")
-    lams = [_require_lambda(lam) for lam in lams]
-    h.require_matches(q)
-    h_rows = _cost_rows(h, x_indices)
+    h_rows, log_g, k_vals = _cost_tilts(h, q, lams, x_indices)
     n_t = len(lams)
-    log_g, k_vals = _gibbs_tilts(h_rows, q.log_density, lams, q.domain.base_mass)
     col = np.array(lams * len(h_rows))[:, None]  # the tilt of each (check, tilt) row
     tol = np.minimum(1e-10, 2e-10 / np.abs(col[:, 0]))
     cap = [n for n in iters for _ in lams]  # the iters of each row
@@ -504,5 +505,5 @@ def variational_oracle(
     which steps every oracle check of a scenario at all its tilts as rows
     of one loop.
     """
-    row = _one_tilt(_oracle_rows(h, q, [lam], [x_index], [iters])[0])
+    row = _one_tilt(_oracle_rows(h, q, [_require_lambda(lam)], [x_index], [iters])[0])
     return _derived(q.domain, True, log_density=_freeze(row.log_p))

@@ -60,6 +60,7 @@ __all__ = [
     "GridDensity",
     "Measure",
     "ConditionalFamily",
+    "constant_family",
     "make_finite_measure",
     "make_grid_density",
     "counting_measure",

@@ -23,7 +23,10 @@ A check passes when its discrepancy is within tolerance.  A check that
 declares ``"expect": "error:Name"`` passes exactly when running it raises
 that error — designed-violation scenarios exit 0.  ``Name`` must be an
 error a check can raise: a :class:`~gibbsgap.errors.GibbsGapError`
-subclass other than :class:`~gibbsgap.errors.ScenarioError`.  Tolerance
+subclass other than :class:`~gibbsgap.errors.ScenarioError` and the four
+that only building a measure raises (``DuplicatePoint``, ``EmptySupport``,
+``NegativeWeight``, ``ZeroMass``), since a loaded scenario has built its
+measures.  Tolerance
 defaults to 1e-10 for finite supports and 1e-6 for grids; a per-check
 ``tolerance`` beats the runner-level override, which beats the default.
 
@@ -59,7 +62,7 @@ from .gaps import (
     _outcome,
     _relative_gap,
 )
-from .gibbs import CostTable, _free_energy_rows, _oracle_rows
+from .gibbs import MIN_ABS_LAMBDA, CostTable, _free_energy_rows, _oracle_rows
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
@@ -78,7 +81,6 @@ __all__ = [
     "render_text",
     "render_json",
     "generate_scenarios",
-    "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
@@ -248,8 +250,9 @@ def _build_scenario(doc: dict) -> Scenario:
 
     lambdas = tuple(_num_list(doc.get("lambdas"), "lambdas").tolist())
     for i, lam in enumerate(lambdas):
-        if not math.isfinite(lam) or abs(lam) < 1e-12:
-            raise ScenarioError(f"lambdas[{i}]: tilt parameters must satisfy |lam| >= 1e-12")
+        if not math.isfinite(lam) or abs(lam) < MIN_ABS_LAMBDA:
+            raise ScenarioError(
+                f"lambdas[{i}]: tilt parameters must satisfy |lam| >= {MIN_ABS_LAMBDA:g}")
 
     p_x_vals = _num_list(doc.get("p_x"), "p_x")
     if len(p_x_vals) != len(x_points):
@@ -451,11 +454,10 @@ _OPS = {
 }
 
 
-#: The errors a check can end in: every subclass of GibbsGapError but ScenarioError, which
-#: only loading raises.
-_CHECK_ERRORS = frozenset(
-    name for name, obj in vars(errors).items() if isinstance(obj, type)
-    and issubclass(obj, GibbsGapError) and obj not in (GibbsGapError, ScenarioError))
+#: The errors a check can end in: every error of the package but its base class and those
+#: only loading raises, ScenarioError and the errors of building a measure.
+_CHECK_ERRORS = frozenset(errors.__all__) - {
+    "GibbsGapError", "ScenarioError", "DuplicatePoint", "EmptySupport", "NegativeWeight", "ZeroMass"}
 
 
 def _parse_check(c, index: int, n_x: int, families: dict) -> Check:

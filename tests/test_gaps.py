@@ -29,6 +29,7 @@ from gibbsgap import (
     marginal_gap,
     marginal_y,
     mutual_information,
+    variational_oracle,
 )
 from conftest import LAMBDAS, rand_cost, rand_family, rand_prob, rand_reference, y_points
 
@@ -444,3 +445,34 @@ def test_a_row_without_x_mass_is_never_tilted():
     assert averaged.direct == 0.0
     dec = marginal_gap(h, cond, p_x, q, lam)
     assert (dec.direct, dec.terms["mutual"], dec.terms["lautum"]) == (0.0, 0.0, 0.0)
+
+
+def _tilt_taking_calls(x_index: int, p_x) -> dict:
+    """Each public function that takes a tilt, as a function of the tilt alone."""
+    q, cond = counting_measure(PTS), constant_family([[0.0]], P_AT_0)
+    return {
+        "gap_closed_form": lambda lam: gap_closed_form(H01, x_index, P_AT_0, P_AT_1, q, lam),
+        "gap_closed_form_relative": lambda lam: gap_closed_form_relative(
+            H01, x_index, P_AT_0, P_AT_1, "P2-ref", lam),
+        "gap_mixture_reference": lambda lam: gap_mixture_reference(
+            H01, x_index, P_AT_0, P_AT_1, 0.5, lam),
+        "expected_gap_closed_form": lambda lam: expected_gap_closed_form(
+            H01, cond, cond, p_x, q, lam),
+        "expected_gap_relative": lambda lam: expected_gap_relative(
+            H01, cond, cond, p_x, "P2-ref", lam),
+        "marginal_gap": lambda lam: marginal_gap(H01, cond, p_x, q, lam),
+        "gibbs_marginal_gap": lambda lam: gibbs_marginal_gap(H01, q, lam, p_x),
+        "gibbs_tilt": lambda lam: gibbs_tilt(H01, q, lam, x_index),
+        "variational_oracle": lambda lam: variational_oracle(H01, q, lam, x_index),
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-13, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(_tilt_taking_calls(0, None)))
+def test_every_function_taking_a_tilt_rejects_a_bad_one_before_any_other_check(name, lam):
+    # with sound arguments, and with an x_index past H01's one row or a p_x on other points,
+    # which would raise IndexMismatch: the tilt is checked first
+    for x_index, p_x in ((0, make_finite_measure([[0.0]], (1.0,))),
+                         (1, make_finite_measure([[5.0]], (1.0,)))):
+        with pytest.raises(ValueError, match=r"^tilt parameter must satisfy \|lam\| >= 1e-12"):
+            _tilt_taking_calls(x_index, p_x)[name](lam)

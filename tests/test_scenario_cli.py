@@ -128,7 +128,12 @@ def test_unmet_expectation_is_a_failure(tmp_path):
     assert "no error was raised" in report["records"][0]["note"]
 
 
-@pytest.mark.parametrize("name", ["Nope", "ValueError", "ScenarioError", "GibbsGapError"])
+@pytest.mark.parametrize(
+    "name",
+    ["Nope", "ValueError", "ScenarioError", "GibbsGapError",
+     # only building a measure raises these, and a loaded scenario has built its measures
+     "DuplicatePoint", "EmptySupport", "NegativeWeight", "ZeroMass"],
+)
 def test_an_expected_error_no_check_can_raise_exits_2_naming_the_check(tmp_path, name):
     doc = json.loads(TWO_POINT.read_text())
     doc["pairs"][1]["expect"] = f"error:{name}"
@@ -282,15 +287,17 @@ def test_a_family_reports_its_first_faulty_row(tmp_path, rows, message):
 
 
 @pytest.mark.parametrize(
-    "name", ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt", "multi_op"])
+    "name",
+    ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt", "multi_op", "multi_grid"])
 def test_reports_match_the_golden_files(name, tmp_path):
     # tests/data holds `verify --format json` without wall_time_s of the bundled
     # scenarios, of `generate --seed 7 --nx 64 --ny 128`, whose 64 x 128 row
     # sums take the vectorized path, of tests/data/multi_tilt.json, whose
-    # oracle checks each run at six tilts, and of tests/data/multi_op.json,
-    # where every op runs at six tilts and some tilts raise while others pass
-    # (so its exit code is 1); a change that claims byte-identical reports
-    # keeps them
+    # oracle checks each run at six tilts, of tests/data/multi_op.json, where
+    # every op runs at six tilts and some tilts raise while others pass, and of
+    # tests/data/multi_grid.json, the same on a 64-cell grid with a Lebesgue
+    # reference that has null cells (both exit 1); a change that claims
+    # byte-identical reports keeps them
     if name.startswith("generated"):
         (path,) = generate_scenarios(7, nx=64, ny=128, count=1, out_dir=tmp_path)
     elif name.startswith("multi"):
@@ -299,7 +306,7 @@ def test_reports_match_the_golden_files(name, tmp_path):
         path = REPO / "scenarios" / f"{name}.json"
     report, code = run_scenario_file(path)
     del report["wall_time_s"]
-    assert code == (1 if name == "multi_op" else 0)
+    assert code == (1 if name in ("multi_op", "multi_grid") else 0)
     assert render_json(report) == (REPO / "tests" / "data" / f"{name}.report.json").read_text()
 
 
