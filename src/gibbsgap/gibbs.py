@@ -236,7 +236,7 @@ class GibbsResult:
     def __post_init__(self) -> None:
         if not self.measure.is_probability:
             raise ValueError("a Gibbs measure must be a probability measure")
-        _require_free_energy(self.free_energy, self.log_partition, self.lam)
+        _require_free_energy(self.free_energy, self.log_partition, _require_lambda(self.lam))
 
 
 def _require_free_energy(free_energy: float, log_partition: float, lam: float) -> float:
@@ -381,12 +381,14 @@ def _one_tilt(outcomes: list):
 
 class _OracleRow(NamedTuple):
     """A certified oracle row: the iterate's and the Gibbs tilt's log atoms on Q's support,
-    the objective ``E_P[h] + kl(P, Q)/lam`` and the closed-form free energy."""
+    the objective ``E_P[h] + kl(P, Q)/lam``, the closed-form free energy and the total
+    variation between the iterate and the Gibbs tilt."""
 
     log_p: np.ndarray
     log_g: np.ndarray
     objective: float
     free_energy: float
+    total_variation: float
 
 
 #: Past this step, every 8 steps, the oracle checks whether a step left a row's
@@ -394,6 +396,14 @@ class _OracleRow(NamedTuple):
 #: step.  A row that certifies halves its distance to the optimum on each step
 #: and most stop within about 50, before the check starts.
 _STALL_AFTER = 64
+
+
+def _normalize_rows(log_p: np.ndarray) -> None:
+    """Subtract from each row of ``log_p``, in place, its log-sum-exp: the operations of
+    ``_logsumexp(log_p, axis=-1)``, without its checks and its ``errstate``."""
+    shift = log_p.max(axis=1, keepdims=True)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    log_p -= np.log(np.exp(log_p - shift).sum(axis=1, keepdims=True)) + shift
 
 
 def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list:
@@ -409,7 +419,9 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     reported as that row's :class:`NonConvergence`, not warned.  A row whose
     step leaves its iterate unchanged, bit for bit, would repeat that state to
     its last step, so it ends at once with the :class:`NonConvergence` it would
-    reach there.  Returns, per check, per tilt, an :class:`_OracleRow` or the
+    reach there.  A step normalises by :func:`_normalize_rows`, ``_logsumexp``'s
+    operations inline, and the loop ends as soon as no row is left.  Returns,
+    per check, per tilt, an :class:`_OracleRow` or the
     :class:`InfiniteLogPartition` or :class:`NonConvergence` raised there.
     """
     if not isinstance(q, FiniteMeasure):
@@ -428,10 +440,14 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     log_p = np.repeat(log_qa - _logsumexp(log_qa), rows.size, axis=0)
     final, n_steps = np.empty((len(out), log_qa.shape[1])), [0] * len(out)
     row_h, lam, row_tol, row_cap = h_live[rows // n_t], col[rows], tol[rows], np.array(cap)[rows]
+    half, grad = 0.5 * lam, np.empty_like(log_p)
     steps, first_cap = 0, min(cap, default=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows cannot certify
+    with np.errstate(all="ignore"):  # a step that overflows cannot certify
         while rows.size:
-            grad = row_h + (log_p - log_qa + 1.0) / lam
+            np.subtract(log_p, log_qa, out=grad)  # row_h + (log_p - log_qa + 1.0) / lam, in place
+            grad += 1.0
+            grad /= lam
+            grad += row_h
             resid = grad.max(axis=1) - grad.min(axis=1)
             done = resid <= row_tol
             stop = done | (steps >= row_cap) if steps >= first_cap else done
@@ -446,19 +462,26 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
                         out[k] = NonConvergence(f"residual {float(resid[i])!r} > {float(tol[k])!r} "
                                                 f"after {max(steps, cap[k])} iterations")
                 go = ~stop
-                rows, row_h, lam, row_tol, row_cap, log_p, grad = (
-                    a[go] for a in (rows, row_h, lam, row_tol, row_cap, log_p, grad))
+                rows, row_h, lam, half, row_tol, row_cap, log_p, grad = (
+                    a[go] for a in (rows, row_h, lam, half, row_tol, row_cap, log_p, grad))
+                if not rows.size:
+                    break
             if steps >= _STALL_AFTER and steps % 8 == 0:
                 before = log_p.copy()
-            log_p -= 0.5 * lam * grad
-            log_p -= _logsumexp(log_p, axis=-1)[:, None]
+            grad *= half
+            log_p -= grad
+            _normalize_rows(log_p)
             steps += 1
 
     ok = [k for k, row in enumerate(out) if row is None]  # the certified rows
     log_p = final[ok]
     p = np.exp(log_p)  # the objective E_P[h] + kl(P, Q)/lam
     means = _mean_rows(h_live[[k // n_t for k in ok]], p)
-    for k, mean, div in zip(ok, means, _kl_rows(p, log_p, log_qa), strict=True):
+    log_full = np.full((len(ok), live.size), -math.inf)  # on the full support
+    log_full[:, live] = log_p
+    tvs = 0.5 * np.abs(np.exp(log_full) - np.exp(log_g[ok])).sum(axis=1)
+    for k, mean, div, log_pk, tv in zip(ok, means, _kl_rows(p, log_p, log_qa), log_full,
+                                        tvs.tolist(), strict=True):
         lam = lams[k % n_t]
         value, free_energy = mean + div / lam, -k_vals[k] / lam
         if abs(value - free_energy) > 1e-6:
@@ -466,9 +489,7 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
                 f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
                 f"after {n_steps[k]} iterations")
             continue
-        log_full = np.full(live.shape, -math.inf)
-        log_full[live] = final[k]
-        out[k] = _OracleRow(log_full, log_g[k], value, free_energy)
+        out[k] = _OracleRow(log_pk, log_g[k], value, free_energy, tv)
     return _by_check(out, len(h_rows), n_t)
 
 

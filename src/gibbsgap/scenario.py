@@ -45,6 +45,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -396,8 +397,7 @@ def _oracle(scn: Scenario, ps: list, lams) -> list:
         "direct": row.objective,
         "closed_form": row.free_energy,
         "discrepancy": abs(row.objective - row.free_energy),
-        "terms": {"objective": row.objective, "total_variation":
-                  0.5 * float(np.abs(np.exp(row.log_p) - np.exp(row.log_g)).sum())},
+        "terms": {"objective": row.objective, "total_variation": row.total_variation},
     } for row in rows] for rows in checks]
 
 
@@ -596,36 +596,43 @@ def _fmt17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _to_json(value, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 2)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+def _emit(value, pad: str, out: list) -> None:
+    """Append the JSON text of ``value``, nested at indent ``pad``, to ``out``."""
     if isinstance(value, float):
-        return _fmt17(value)
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
+        out.append(_fmt17(value))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{\n"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{_quote(str(k))}: ")
+            _emit(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "[\n"
+        for v in value:
+            out.append(sep + inner)
+            _emit(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]" if value else "[]")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(str(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def render_json(report: dict[str, Any]) -> str:
-    """Serialize a report with 17-significant-digit numbers."""
-    return _to_json(report, 0) + "\n"
+    """Serialize a report with 17-significant-digit numbers, two spaces of indent per level.
+    Keys (as ``str(key)``) and strings are quoted by ``json.encoder.encode_basestring_ascii``,
+    as ``json.dumps`` quotes a ``str``."""
+    out: list = []
+    _emit(report, "", out)
+    return "".join(out) + "\n"
 
 
 def render_text(report: dict[str, Any]) -> str:

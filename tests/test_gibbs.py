@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gibbsgap import (
     CostTable,
+    GibbsResult,
     IndexMismatch,
     InfiniteLogPartition,
     NonConvergence,
@@ -28,7 +30,7 @@ from gibbsgap import (
     variational_oracle,
 )
 from gibbsgap import gibbs
-from gibbsgap.gibbs import _logsumexp, _oracle_rows
+from gibbsgap.gibbs import _logsumexp, _normalize_rows, _oracle_rows
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
@@ -263,6 +265,13 @@ def test_gibbs_tiny_lambda_rejected():
         gibbs_tilt(H01, counting_measure(PTS), 0.0, 0)
     with pytest.raises(ValueError):
         gibbs_tilt(H01, counting_measure(PTS), 1e-13, 0)
+
+
+def test_a_gibbs_result_at_a_zero_tilt_is_rejected():
+    # free_energy_identities would divide by this tilt
+    q = make_finite_measure(PTS, (0.5, 0.5))
+    with pytest.raises(ValueError, match="tilt parameter"):
+        GibbsResult(measure=q, log_partition=0.0, free_energy=0.0, lam=0.0)
 
 
 def test_overflowing_tilt_raises_infinite_log_partition():
@@ -547,12 +556,23 @@ def test_a_stalled_oracle_row_ends_with_the_error_of_its_last_step():
     lams = [1e8, -1e6, 1e300]
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(log_p):
         calls.append(None)
-        return _logsumexp(*args, **kwargs)
+        return _normalize_rows(log_p)
 
-    with mock.patch.object(gibbs, "_logsumexp", counted):
+    with mock.patch.object(gibbs, "_normalize_rows", counted):
         (rows,) = _oracle_rows(h, q, lams, [0], [10_000])
-    assert len(calls) < 100  # one per step, and two more
+    assert len(calls) < 100  # one per step
     assert all(str(row).endswith("after 10000 iterations") for row in rows)
     _assert_rows_are_one_tilt_calls(h, q, lams, 10_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats() | st.sampled_from([-math.inf, math.inf, math.nan])))
+def test_an_oracle_step_normalises_each_row_as_logsumexp_bit_for_bit(log_p):
+    # rows whose maximum is +-inf or nan included: the shift is 0 there
+    with np.errstate(all="ignore"):
+        expected = log_p - _logsumexp(log_p, axis=-1)[:, None]
+        _normalize_rows(log_p)
+    assert log_p.tobytes() == expected.tobytes()

@@ -9,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgap import (
     ScenarioError,
@@ -470,6 +472,59 @@ def test_json_report_serializes_non_finite_as_strings():
     doc = {"x": math.inf, "y": -math.inf, "z": math.nan}
     parsed = json.loads(rj(doc))
     assert parsed == {"x": "inf", "y": "-inf", "z": "nan"}
+
+
+def _fmt17_reference(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def _to_json_reference(value, indent: int) -> str:
+    """The recursive renderer that ``render_json`` replaced, one ``json.dumps`` per string."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_to_json_reference(v, indent + 2)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{inner}{_to_json_reference(v, indent + 2)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return _fmt17_reference(value)
+    if isinstance(value, int):
+        return str(value)
+    return json.dumps(value)
+
+
+_ODD_TEXT = st.sampled_from(['"', "\\", 'a "quoted\\" word', "\x00\x1f\x7f\n\t\r\b\f",
+                             "caf\u00e9", "\u2028\u2029", "\U0001f600 \U00010348", "\ud800"])
+_TEXT = st.text() | st.text(st.characters(min_codepoint=0x10000)) | _ODD_TEXT
+_LEAVES = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                          -2.2250738585072e-309, 1e308, -1e308])
+           | st.integers() | st.booleans() | st.none() | _TEXT)
+_NESTS = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                      | st.lists(inner, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_TEXT, _NESTS, max_size=6))
+def test_json_report_renders_as_the_recursive_renderer_byte_for_byte(report):
+    assert render_json(report) == _to_json_reference(report, 0) + "\n"
 
 
 def test_text_report_mentions_every_check():
