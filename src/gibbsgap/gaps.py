@@ -64,6 +64,7 @@ from .measures import (
     ConditionalFamily,
     FiniteMeasure,
     Measure,
+    _at,
     _average,
     _escapes,
     _family,
@@ -193,13 +194,13 @@ def _decompose(identity, h, rows, weights, lams, laws, messages, log_gibbs=None,
 
     Each law holds a row per entry of ``rows`` or one for all; ``messages``
     names the dominated laws.  The reference is tilted unless ``log_gibbs``
-    is, at the one tilt of ``lams``.  The inputs are checked, and the direct
-    value and the terms that do not name ``gibbs`` summed, once for all tilts.
+    is, at the one tilt of ``lams``.  The inputs are checked, and the direct value and the terms
+    that do not name ``gibbs`` summed, once for all tilts; ``h``'s rows are read by :func:`_at`.
     """
     ref = laws[identity.reference]
     _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
     h.require_matches(ref)
-    h_rows = h.values[rows]
+    h_rows = _at(h.values, rows)
     out: list = [None] * len(lams)
     fixed = None  # the tilt-free terms, summed for the first tilt that needs them
     for tilts, log_g in [([0], log_gibbs)] if log_gibbs is not None else _tilts(h_rows, ref, lams):
@@ -379,7 +380,7 @@ def expected_gap_direct(
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     require_same_representation(cond1[live[0]], cond2[live[0]])
     h.require_matches(cond1[live[0]])
-    return _direct(h.values[live], p1, p2, weights)
+    return _direct(_at(h.values, live), p1, p2, weights)
 
 
 def expected_gap_closed_form(

@@ -51,6 +51,7 @@ from .measures import (
     GridSupport,
     Measure,
     PointSupport,
+    _atom_masses,
     _derived,
     _freeze,
     _logsumexp,
@@ -183,10 +184,11 @@ def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
 
 
 def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
-    """``t * h + log ref`` and the log-partition value of each row, by one batched
-    log-sum-exp; :func:`log_partition` is its one-row case."""
+    """``t * h + log ref``, built in place in the one array ``t * h``, and the log-partition value
+    of each row, by one batched log-sum-exp; :func:`log_partition` is its one-row case."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
-        a = t * h_rows + log_ref
+        a = t * h_rows  # the broadcast shape, as log_ref has no more rows than h_rows
+        a += log_ref
     a[np.isnan(a)] = -math.inf  # a null atom stays null, however large t * h is there
     return a, _logsumexp(a, axis=-1) + math.log(base_mass)
 
@@ -195,14 +197,14 @@ def _gibbs_tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
     """The one tilt helper: the Gibbs tilts of each cost row of ``h_rows`` at each of ``lams``,
     stacked by one :func:`_tilt_rows` call.  ``ref`` holds one reference row for all cost rows
     or one per cost row.  Returns their log atoms, one row per cost row and tilt (cost row by
-    cost row, each at every tilt), and per row the log-partition value or the
-    :class:`InfiniteLogPartition` raised there.  The row of a tilt that raises holds no tilt.
-    Each row holds the bits of a one-row call alone."""
+    cost row, each at every tilt), normalised in place in the array :func:`_tilt_rows` built,
+    and per row the log-partition value or the :class:`InfiniteLogPartition` raised there.  The
+    row of a tilt that raises holds no tilt.  Each row holds the bits of a one-row call alone."""
     a, k_vals = _tilt_rows(h_rows[:, None], ref.log[:, None], -np.array(lams)[:, None],
                            ref.domain.base_mass)
     a, k_vals = a.reshape(-1, a.shape[-1]), k_vals.reshape(-1)
     finite = np.isfinite(k_vals)
-    return a - np.where(finite, k_vals, 0.0)[:, None], [
+    return np.subtract(a, np.where(finite, k_vals, 0.0)[:, None], out=a), [
         k if ok else InfiniteLogPartition(f"log-partition value is {k!r}")
         for k, ok in zip(k_vals.tolist(), finite.tolist())]
 
@@ -364,7 +366,7 @@ def _free_energy_rows(h: CostTable, q: Measure, lams, x_indices) -> list:
     free_energies = [_require_free_energy(-out[k] / lam, out[k], lam)
                      for k, lam in zip(ok, row_lams)]
     splits = _splits(q, h_rows, [k // len(lams) for k in ok],
-                     np.exp(log_g) * q.domain.base_mass, log_g, row_lams, free_energies)
+                     _atom_masses(np.exp(log_g), q.domain), log_g, row_lams, free_energies)
     for k, split in zip(ok, splits, strict=True):
         out[k] = split if isinstance(split, GibbsGapError) else (split, out[k])
     return _by_check(out, len(h_rows), len(lams))

@@ -275,8 +275,15 @@ def require_same_representation(a: Measure, b: Measure) -> None:
 
 
 def atom_masses(p: Measure) -> np.ndarray:
-    """Vector of point masses: weights, or ``values * cell_width``."""
-    return p._density * p.domain.base_mass
+    """Point masses, read-only: the ``weights`` array itself, or ``values * cell_width``."""
+    return _atom_masses(p._density, p.domain)
+
+
+def _atom_masses(density: np.ndarray, domain) -> np.ndarray:
+    """The one rule for atom masses, read-only: ``density`` times the base mass of ``domain``."""
+    masses = density if domain.base_mass == 1.0 else density * domain.base_mass  # x * 1.0 == x
+    masses.flags.writeable = False
+    return masses
 
 
 def total_mass(p: Measure) -> float:
@@ -592,14 +599,19 @@ def _row(p: Measure) -> _Rows:
     return _Rows(p.domain, p.log_density[None], atom_masses(p)[None])
 
 
+def _at(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ascending, distinct ``rows`` of ``a``: ``a`` itself, read in place, if they are all."""
+    return a if len(rows) == len(a) else a[rows]
+
+
 def _live_rows(p_x: FiniteMeasure, *families: ConditionalFamily):
-    """The conditioning points carrying X-mass, their weights and each family's rows there."""
+    """The points carrying X-mass, their weights and each family's rows there, in place if all do."""
     for cond in families:
         require_aligned(p_x, cond)
     live = np.flatnonzero(p_x.weights > 0)
-    rows = [_Rows(c.domain, c.log_density[live], c._density[live] * c.domain.base_mass)
-            for c in families]
-    return live, p_x.weights[live], rows
+    rows = [_Rows(c.domain, _at(c.log_density, live),
+                  _atom_masses(_at(c._density, live), c.domain)) for c in families]
+    return live, _at(p_x.weights, live), rows
 
 
 def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:

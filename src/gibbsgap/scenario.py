@@ -177,8 +177,8 @@ def load_scenario(path) -> Scenario:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}") from None
     try:
         doc = json.loads(text)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,35 @@ def test_a_row_without_x_mass_is_never_tilted():
     assert averaged.direct == 0.0
     dec = marginal_gap(h, cond, p_x, q, lam)
     assert (dec.direct, dec.terms["mutual"], dec.terms["lautum"]) == (0.0, 0.0, 0.0)
+
+
+def test_an_averaged_op_reads_the_family_matrices_in_place():
+    # Every point carries X-mass, so each op reads the family matrices, their atom masses
+    # and the cost rows in place.  Copies of them would take each op's traced peak to 8-10
+    # matrices of n_x * n_y floats; read in place, it stays at about 5-6.
+    rng = np.random.default_rng(5)
+    n_x, n_y = 32, 2048
+    pts = y_points(n_y)
+    h, q = rand_cost(rng, n_x, pts), rand_reference(rng, pts)
+    c1, c2 = _family_pair(rng, n_x, pts)
+    p_x = rand_prob(rng, y_points(n_x))
+    ops = {
+        "expected_gap_closed_form": lambda: expected_gap_closed_form(h, c1, c2, p_x, q, 1.0),
+        "expected_gap_relative": lambda: expected_gap_relative(h, c1, c2, p_x, "P2-ref", 1.0),
+        "marginal_gap": lambda: marginal_gap(h, c1, p_x, q, 1.0),
+        "gibbs_marginal_gap": lambda: gibbs_marginal_gap(h, q, 1.0, p_x),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, op in ops.items():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            op()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (n_x * n_y * 8)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 7.0, peaks
 
 
 def _tilt_taking_calls(x_index: int, p_x) -> dict:

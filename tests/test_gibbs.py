@@ -30,7 +30,7 @@ from gibbsgap import (
     variational_oracle,
 )
 from gibbsgap import gibbs
-from gibbsgap.gibbs import _logsumexp, _normalize_rows, _oracle_rows
+from gibbsgap.gibbs import _logsumexp, _normalize_rows, _oracle_rows, _tilt_rows
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
@@ -576,3 +576,22 @@ def test_an_oracle_step_normalises_each_row_as_logsumexp_bit_for_bit(log_p):
         expected = log_p - _logsumexp(log_p, axis=-1)[:, None]
         _normalize_rows(log_p)
     assert log_p.tobytes() == expected.tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+       per_row=st.booleans())
+def test_a_tilt_built_in_one_buffer_is_t_times_h_plus_log_ref_bit_for_bit(data, shape, per_row):
+    # costs and tilts of every size, so t * h overflows and meets a -inf log reference
+    h = data.draw(hnp.arrays(float, shape, elements=_FINITE))
+    log_ref = data.draw(hnp.arrays(float, shape[1:], elements=_FINITE | st.just(-math.inf)))
+    t = data.draw(hnp.arrays(float, (shape[0], 1), elements=_FINITE) if per_row else _FINITE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = t * h + log_ref
+    expected[np.isnan(expected)] = -math.inf
+    a, k_vals = _tilt_rows(h, log_ref, t, 1.0)
+    assert a.tobytes() == expected.tobytes()
+    assert k_vals.tobytes() == _logsumexp(expected, axis=-1).tobytes()

@@ -36,7 +36,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
-from gibbsgap.measures import _CASCADE_MIN, GridSupport, _cascade, _fsum_rows
+from gibbsgap.measures import _CASCADE_MIN, GridSupport, _cascade, _fsum_rows, _live_rows
 
 PTS = [[0.0], [1.0]]
 
@@ -423,6 +423,51 @@ def test_grid_atoms_are_values_times_width():
     assert np.allclose(atom_masses(g), [1.0, 3.0])  # width = 1
     g2 = make_grid_density(0.0, 1.0, np.array([1.0, 3.0]))
     assert np.allclose(atom_masses(g2), [0.5, 1.5])
+
+
+# weights with -0.0 and subnormals, and a positive one so that the mass is positive
+_WEIGHTS = st.lists(st.floats(0.0, 1e300) | st.sampled_from([-0.0, 5e-324, 2.0**-1060]),
+                    min_size=1, max_size=8).map(lambda w: [*w, 0.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=_WEIGHTS, hi=st.floats(1e-3, 1e3))
+def test_atom_masses_are_density_times_base_mass_bit_for_bit_and_read_only(weights, hi):
+    p = FiniteMeasure([[float(j)] for j in range(len(weights))], weights)
+    g = GridDensity(0.0, hi, weights)
+    assert atom_masses(p) is p.weights  # x * 1.0 == x bit for bit
+    for m in (p, g):
+        masses = atom_masses(m)
+        assert masses.tobytes() == (m._density * m.domain.base_mass).tobytes()
+        assert not masses.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_x=st.integers(1, 4), n_y=st.integers(1, 6), grid=st.booleans())
+def test_live_rows_are_the_rows_of_the_points_with_x_mass_bit_for_bit(data, n_x, n_y, grid):
+    # every point live, or some of zero X-mass; null atoms and subnormal weights included
+    def member():
+        w = data.draw(st.lists(st.sampled_from([0.0, 5e-324, 0.25, 1.0, 3.0]),
+                               min_size=n_y, max_size=n_y).map(lambda w: [*w[:-1], 1.0]))
+        if grid:
+            return make_grid_density(-1.0, 2.0, w, normalize=True)
+        return make_finite_measure([[float(j)] for j in range(n_y)], w, normalize=True)
+
+    x_points = [[float(k)] for k in range(n_x)]
+    families = [ConditionalFamily(x_points, [member() for _ in range(n_x)]) for _ in range(2)]
+    p_x = make_finite_measure(x_points, data.draw(
+        st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n_x, max_size=n_x)
+        .filter(lambda w: sum(w) > 0)), normalize=True)
+    live, weights, rows = _live_rows(p_x, *families)
+    expected = np.flatnonzero(p_x.weights > 0)
+    assert live.tolist() == expected.tolist()
+    assert weights.tobytes() == p_x.weights[expected].tobytes()
+    for c, r in zip(families, rows, strict=True):
+        assert r.log.tobytes() == c.log_density[expected].tobytes()
+        assert r.mass.tobytes() == (c._density[expected] * c.domain.base_mass).tobytes()
+        if expected.size == n_x:  # read in place
+            assert r.log is c.log_density
+            assert np.shares_memory(r.mass, c._density) == (c.domain.base_mass == 1.0)
 
 
 def test_grid_type_roundtrip():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -184,6 +185,27 @@ def test_missing_file_exits_2(tmp_path):
     code, _, err = _cli("verify", tmp_path / "nope.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_a_file_that_is_not_utf8_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"schema": 1, "name": "\xff"}')
+    code, out, err = _cli("verify", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec") and err.count("\n") == 1
+
+
+def test_a_utf8_scenario_verifies_under_an_ascii_locale(tmp_path):
+    doc = json.loads(TWO_POINT.read_text(encoding="utf-8"))
+    doc["name"] = "zwei Punkte – λ"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "gibbsgap.cli", "verify", str(path), "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "LC_ALL": "C"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["scenario"] == "zwei Punkte – λ"
 
 
 @pytest.mark.parametrize(
