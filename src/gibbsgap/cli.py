@@ -13,13 +13,15 @@ Two subcommands:
     the arguments: the same seed reproduces the same bytes.
 
 No network access, no environment variables: exit codes and stdout/stderr
-are the only side channels.
+are the only side channels.  A stdout closed early ends a command with exit
+code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import ScenarioError
@@ -56,6 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:  # the reader is gone; see "Note on SIGPIPE" in Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     if args.command == "verify":
         if args.tolerance is not None and not 0 < args.tolerance < math.inf:
             print("error: --tolerance must be finite and positive", file=sys.stderr)
@@ -65,8 +77,9 @@ def main(argv=None) -> int:
         except ScenarioError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        render = render_json if args.format == "json" else render_text
-        sys.stdout.write(render(report))
+        text = (render_json if args.format == "json" else render_text)(report)
+        encoding = sys.stdout.encoding or "utf-8"  # what it cannot encode: \xXX / \uXXXX escapes
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
         return code
     if args.command == "generate":
         try:

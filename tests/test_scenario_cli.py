@@ -647,3 +647,56 @@ def test_an_overflowing_oracle_step_does_not_warn(tmp_path):
         ("NonConvergence", "residual nan > 2.5e-13 after 800 iterations"),
         ("InfiniteLogPartition", "log-partition value is inf"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# stdout: an encoding that cannot hold the report, and a reader that goes away
+
+
+@pytest.mark.parametrize(
+    "env, encoding, first_line",
+    [
+        ({"LC_ALL": "C"}, "ascii", "scenario: zwei Punkte \\u2013 \\u03bb, caf\\xe9"),
+        ({"PYTHONIOENCODING": "latin-1"}, "latin-1", "scenario: zwei Punkte \\u2013 \\u03bb, café"),
+        ({"PYTHONIOENCODING": "utf-8"}, "utf-8", "scenario: zwei Punkte – λ, café"),
+    ],
+)
+def test_a_text_report_escapes_what_stdout_cannot_encode(tmp_path, env, encoding, first_line):
+    doc = json.loads(TWO_POINT.read_text(encoding="utf-8"))
+    doc["name"] = "zwei Punkte – λ, café"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "gibbsgap.cli", "verify", str(path)],
+        capture_output=True, env={**os.environ, **env},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = proc.stdout.decode(encoding).splitlines()
+    assert lines[0] == first_line and lines[-1].startswith("summary: 9/9 passed")
+
+
+def test_a_closed_stdout_ends_generate_without_a_traceback(tmp_path):
+    # generate writes far more than a pipe holds; the reader takes one line and closes
+    # its end, so a later write meets a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gibbsgap.cli", "generate", "--seed", "1", "--nx", "2", "--ny", "3",
+         "--count", "2000", "--out", str(tmp_path / ("d" * 100))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first and (proc.wait(), err) == (1, b"")
+
+
+def test_a_closed_stdout_ends_verify_without_a_traceback():
+    # stdout is a pipe whose reader is gone before verify writes its report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "gibbsgap.cli", "verify", str(TWO_POINT)],
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
