@@ -79,7 +79,14 @@ def _run(args) -> int:
             return 2
         text = (render_json if args.format == "json" else render_text)(report)
         encoding = sys.stdout.encoding or "utf-8"  # what it cannot encode: \xXX / \uXXXX escapes
-        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+        view = memoryview(text.encode(encoding, "backslashreplace"))
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream only, such as a StringIO
+            sys.stdout.write(view.tobytes().decode(encoding))
+        else:  # unbuffered (-u), the buffer is a raw file: a write may take part of the bytes
+            sys.stdout.flush()
+            while view:
+                view = view[out.write(view):]
         return code
     if args.command == "generate":
         try:

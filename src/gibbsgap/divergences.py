@@ -73,12 +73,15 @@ def _kl_rows(mass: np.ndarray, log_p: np.ndarray, log_q) -> list[float]:
     """The one divergence sum: the expectation of ``log p - log q`` under ``mass``, per row.
 
     With ``mass`` the atom masses of ``p`` a row is ``kl(p, q)``, ``+inf``
-    where ``q`` is null on an atom where ``p`` is not.
+    where ``q`` is null on an atom where ``p`` is not, or where the sum is past
+    the largest float (NaN from :func:`_mean_rows`).  Such a sum is positive:
+    no log atom is above about 745, so only a positive term can be that large.
     """
     with np.errstate(invalid="ignore"):  # -inf - -inf on atoms of neither law, never summed
         ratio = log_p - log_q
     escaped = (ratio == math.inf).any(axis=-1).tolist()  # p has mass where q has none
-    return [math.inf if e else s for s, e in zip(_mean_rows(ratio, mass), escaped, strict=True)]
+    return [math.inf if e or math.isnan(s) else s
+            for s, e in zip(_mean_rows(ratio, mass), escaped, strict=True)]
 
 
 def _entropy(p: Measure) -> float:

@@ -55,6 +55,7 @@ from .errors import (
     InfiniteDivergence,
     MutualContinuityViolated,
     NonFiniteExpectation,
+    NonFiniteValue,
     NonProbabilityMeasure,
     NotAbsolutelyContinuous,
 )
@@ -171,8 +172,12 @@ _MARGINAL = _Identity(
 
 
 def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights, checked: bool = True) -> float:
-    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``; ``checked`` rejects a non-finite row."""
-    rows = [a - b for a, b in zip(_mean_rows(h_rows, p1.mass), _mean_rows(h_rows, p2.mass))]
+    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``; ``checked`` rejects a non-finite row.
+    An expectation past the largest float raises :class:`NonFiniteValue`."""
+    means = _mean_rows(h_rows, p1.mass), _mean_rows(h_rows, p2.mass)
+    if not all(map(math.isfinite, means[0] + means[1])):
+        raise NonFiniteValue("expectation overflows a float")
+    rows = [a - b for a, b in zip(*means)]
     for value in rows if checked else ():
         if not math.isfinite(value):
             raise NonFiniteExpectation(f"gap evaluated to {value!r}")
@@ -283,7 +288,8 @@ def _aligned(h: CostTable, p_x: FiniteMeasure, *families: ConditionalFamily):
 def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
     """``E_{p1}[h(x, .)] - E_{p2}[h(x, .)]`` by compensated summation.
 
-    Exactly antisymmetric in ``(p1, p2)``.
+    Exactly antisymmetric in ``(p1, p2)``.  An expectation past the largest
+    float raises :class:`~gibbsgap.errors.NonFiniteValue`.
     """
     rows = _point(h, x_index, p1, p2, "expectation requires a probability measure")
     h.require_matches(p1)

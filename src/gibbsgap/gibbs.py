@@ -204,9 +204,10 @@ def _gibbs_tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
                            ref.domain.base_mass)
     a, k_vals = a.reshape(-1, a.shape[-1]), k_vals.reshape(-1)
     finite = np.isfinite(k_vals)
-    return np.subtract(a, np.where(finite, k_vals, 0.0)[:, None], out=a), [
-        k if ok else InfiniteLogPartition(f"log-partition value is {k!r}")
-        for k, ok in zip(k_vals.tolist(), finite.tolist())]
+    with np.errstate(over="ignore"):  # an atom that far below the log-partition value is null
+        np.subtract(a, np.where(finite, k_vals, 0.0)[:, None], out=a)
+    return a, [k if ok else InfiniteLogPartition(f"log-partition value is {k!r}")
+               for k, ok in zip(k_vals.tolist(), finite.tolist())]
 
 
 def _cost_tilts(h: CostTable, q: Measure, lams: list, x_indices):
@@ -238,18 +239,12 @@ class GibbsResult:
     def __post_init__(self) -> None:
         if not self.measure.is_probability:
             raise ValueError("a Gibbs measure must be a probability measure")
-        _require_free_energy(self.free_energy, self.log_partition, _require_lambda(self.lam))
-
-
-def _require_free_energy(free_energy: float, log_partition: float, lam: float) -> float:
-    """``free_energy``, once ``free_energy * (-lam)`` is ``log_partition`` to a relative 1e-12."""
-    resid = abs(free_energy * (-lam) - log_partition)
-    if resid > 1e-12 * max(1.0, abs(log_partition)):
-        raise ValueError(
-            f"free energy {free_energy!r} inconsistent with "
-            f"log-partition {log_partition!r} at lam={lam!r}"
-        )
-    return free_energy
+        lam = _require_lambda(self.lam)
+        if abs(self.free_energy * -lam - self.log_partition) > 1e-12 * max(1.0, abs(self.log_partition)):
+            raise ValueError(
+                f"free energy {self.free_energy!r} inconsistent with "
+                f"log-partition {self.log_partition!r} at lam={lam!r}"
+            )
 
 
 def gibbs_tilt(h: CostTable, q: Measure, lam: float, x_index: int) -> GibbsResult:
@@ -309,6 +304,8 @@ def free_energy_identities(
     ------
     InfiniteDivergence
         if a divergence entering an evaluated side is infinite.
+    NonFiniteValue
+        if ``E_G[h]`` or ``E_Q[h]`` is past the largest float.
     """
     h.require_matches(q)
     require_same_representation(g.measure, q)
@@ -320,7 +317,8 @@ def _splits(q: Measure, h_rows: np.ndarray, row_check, mass_g, log_g, lams,
             free_energies) -> list:
     """The :class:`FreeEnergySplit` of each row ``k`` of ``log_g``, a tilt of ``q`` at ``lams[k]``
     of the cost row ``h_rows[row_check[k]]``, with atom masses ``mass_g[k]`` and free energy
-    ``free_energies[k]``, or the :class:`InfiniteDivergence` raised there.  Each divergence and
+    ``free_energies[k]``, or the :class:`InfiniteDivergence` raised there, or the
+    :class:`NonFiniteValue` of an expectation past the largest float.  Each divergence and
     ``E_G[h]`` is one sum over the rows, and ``E_Q[h]`` one sum over the cost rows that need it."""
     d_g_q = _kl_rows(mass_g, log_g, q.log_density[None])
     out: list = [InfiniteDivergence("kl(gibbs, reference) is infinite") if math.isinf(d) else None
@@ -339,6 +337,9 @@ def _splits(q: Measure, h_rows: np.ndarray, row_check, mass_g, log_g, lams,
         via_gibbs = mean + d_g_q[k] / lams[k]
         if d_qg is not None and math.isinf(d_qg):
             out[k] = InfiniteDivergence("kl(reference, gibbs) is infinite")
+            continue
+        if not (math.isfinite(mean) and math.isfinite(mean_q.get(row_check[k], 0.0))):
+            out[k] = NonFiniteValue("expectation overflows a float")  # E_G[h] or E_Q[h]
             continue
         via_reference = None if d_qg is None else mean_q[row_check[k]] - d_qg / lams[k]
         sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
@@ -363,10 +364,8 @@ def _free_energy_rows(h: CostTable, q: Measure, lams, x_indices) -> list:
     h_rows, log_g, out = _cost_tilts(h, q, lams, x_indices)
     ok = [k for k, v in enumerate(out) if not isinstance(v, GibbsGapError)]
     log_g, row_lams = log_g[ok], [lams[k % len(lams)] for k in ok]
-    free_energies = [_require_free_energy(-out[k] / lam, out[k], lam)
-                     for k, lam in zip(ok, row_lams)]
-    splits = _splits(q, h_rows, [k // len(lams) for k in ok],
-                     _atom_masses(np.exp(log_g), q.domain), log_g, row_lams, free_energies)
+    splits = _splits(q, h_rows, [k // len(lams) for k in ok], _atom_masses(np.exp(log_g), q.domain),
+                     log_g, row_lams, [-out[k] / lam for k, lam in zip(ok, row_lams)])
     for k, split in zip(ok, splits, strict=True):
         out[k] = split if isinstance(split, GibbsGapError) else (split, out[k])
     return _by_check(out, len(h_rows), len(lams))
@@ -486,7 +485,7 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
                                         tvs.tolist(), strict=True):
         lam = lams[k % n_t]
         value, free_energy = mean + div / lam, -k_vals[k] / lam
-        if abs(value - free_energy) > 1e-6:
+        if not abs(value - free_energy) <= 1e-6:  # NaN too: E_P[h] past the largest float
             out[k] = NonConvergence(
                 f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
                 f"after {n_steps[k]} iterations")

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -87,21 +86,17 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def _logsumexp(a, b=None, axis=None):
-    """Max-shifted ``log sum(b * exp(a))`` over ``axis`` (every entry when None).
+def _logsumexp(a, axis=None):
+    """Max-shifted ``log sum(exp(a))`` over ``axis`` (every entry when None).
 
-    Zero weights contribute nothing, however large ``a`` is there, and an
-    all-``-inf`` slice gives ``-inf``, not NaN.
+    An all-``-inf`` slice gives ``-inf``, not NaN.
     """
     a = np.asarray(a, dtype=float)
-    if b is not None:
-        a = np.where(np.asarray(b) != 0, a, -math.inf)
     shift = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     # exp overflows only next to a +inf entry, and an empty sum is -inf: both legal
     with np.errstate(over="ignore", divide="ignore"):
-        terms = np.exp(a - shift) if b is None else b * np.exp(a - shift)
-        return np.squeeze(np.log(terms.sum(axis=axis, keepdims=True)) + shift, axis=axis)
+        return np.squeeze(np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +202,22 @@ class _Measure(_Atoms):
     domain: Union[PointSupport, GridSupport]
     is_probability: bool
 
-    def __init__(self, domain, is_probability: bool, density) -> None:
-        """The validating constructor: ``density`` holds the caller's weights or cell values."""
-        density = _freeze(density)
-        if density.shape != (domain.n_atoms,):
-            raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
-        mass = float(_weights(density[None], domain.base_mass)[1][0])
-        if is_probability and abs(mass - 1.0) > domain.prob_tol:
-            raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
-        self.__dict__.update(_density=density, domain=domain, is_probability=bool(is_probability))
+
+def _built(domain, density, is_probability: Optional[bool], normalize: bool = False) -> Measure:
+    """The one validation pass of a measure on ``domain``, a valid support: the shape of
+    ``density``, the caller's weights or cell values, then its weights by :func:`_weights`.
+    The measure holds them as a read-only copy, rescaled to mass one with ``normalize``, and is
+    a probability as ``is_probability`` says, or, when it is None, when its mass is one within
+    the support's tolerance."""
+    density = np.array(density, dtype=float)
+    if density.shape != (domain.n_atoms,):
+        raise ValueError(f"{density.shape} weights for {domain.n_atoms} atoms")
+    mass = float(_weights(density[None], domain.base_mass, normalize)[1][0])
+    if is_probability and abs(mass - 1.0) > domain.prob_tol:
+        raise NonProbabilityMeasure(f"flagged as probability but total mass is {mass!r}")
+    density.flags.writeable = False
+    flag = abs(mass - 1.0) <= domain.prob_tol if is_probability is None else bool(is_probability)
+    return _derived(domain, flag, _density=density)
 
 
 def _derived(domain, is_probability: bool, **views) -> Measure:
@@ -233,8 +235,8 @@ class FiniteMeasure(_Measure):
     positive sum; ``is_probability`` when they sum to one within ``1e-12``.
     """
 
-    def __init__(self, support, weights, is_probability: bool = False) -> None:
-        super().__init__(_point_support(support), is_probability, weights)
+    def __new__(cls, support, weights, is_probability: bool = False) -> FiniteMeasure:
+        return _built(_point_support(support), weights, is_probability)
 
     support = property(lambda self: self.domain.points)
     weights = property(lambda self: self._density)
@@ -249,11 +251,8 @@ class GridDensity(_Measure):
     when the (strictly positive) integral is one within ``1e-9``.
     """
 
-    def __init__(self, lo: float, hi: float, values, is_probability: bool = False) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("grid values must be a 1-D array")
-        super().__init__(GridSupport(lo, hi, values.shape[0]), is_probability, values)
+    def __new__(cls, lo: float, hi: float, values, is_probability: bool = False) -> GridDensity:
+        return _built(*_grid(lo, hi, values), is_probability)
 
     lo = property(lambda self: self.domain.lo)
     hi = property(lambda self: self.domain.hi)
@@ -264,6 +263,14 @@ class GridDensity(_Measure):
 
 
 Measure = Union[FiniteMeasure, GridDensity]
+
+
+def _grid(lo: float, hi: float, values):
+    """The grid of the cells of ``values``, a 1-D array, over ``[lo, hi)``, and ``values``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("grid values must be a 1-D array")
+    return GridSupport(lo, hi, values.shape[0]), values
 
 
 def require_same_representation(a: Measure, b: Measure) -> None:
@@ -343,28 +350,30 @@ def _cascade(x: np.ndarray):
     return s + 0.0, proven  # an exact zero sum is +0.0, as in fsum
 
 
-def _fsum_rows(x: np.ndarray, live: Optional[np.ndarray] = None) -> list[float]:
-    """``math.fsum`` of each row of the float matrix ``x``, bit for bit, or the error it raises.
+def _fsum(row: list) -> float:
+    """``math.fsum`` of ``row``, or NaN where it raises: a partial sum past the largest float,
+    or ``inf - inf``."""
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return math.nan
 
-    With ``live``, a boolean matrix of ``x``'s shape, row ``k`` sums the entries
-    of ``x[k]`` where ``live[k]`` is true, and ``x`` must be zero elsewhere.  A
-    call of ``_CASCADE_MIN`` entries or more sums every row at once by
-    ``_cascade``; a row it does not prove (non-finite, near overflow, a tie,
-    deep cancellation) is one ``fsum``, in row order.
+
+def _fsum_rows(x: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of the float matrix ``x``, bit for bit, or NaN where it raises.
+
+    A +0.0 entry never changes a row's sum, so a row padded with +0.0 sums as
+    its own entries.  A call of ``_CASCADE_MIN`` entries or more sums every row
+    at once by ``_cascade``; a row it does not prove (non-finite, near
+    overflow, a tie, deep cancellation) is one ``fsum``.
     """
-    def fsums(rows) -> list[float]:
-        values = x[rows].tolist()
-        if live is None:
-            return [math.fsum(v) for v in values]
-        return [math.fsum(compress(v, m)) for v, m in zip(values, live[rows].tolist())]
-
     if x.size < _CASCADE_MIN:
-        return fsums(slice(None))
+        return [_fsum(v) for v in x.tolist()]
     sums, proven = _cascade(x)
     out = sums.tolist()
     refused = np.flatnonzero(~proven)
-    for k, v in zip(refused.tolist(), fsums(refused)):
-        out[k] = v
+    for k, v in zip(refused.tolist(), x[refused].tolist()):
+        out[k] = _fsum(v)
     return out
 
 
@@ -373,47 +382,33 @@ def _fsum_rows(x: np.ndarray, live: Optional[np.ndarray] = None) -> list[float]:
 
 
 def _masses(w: np.ndarray, base_mass: float) -> np.ndarray:
-    """Each row's total mass: the ``fsum`` of the row, times ``base_mass``; NaN on a
-    row with a non-finite or negative weight, which validation names."""
-    valid = (np.isfinite(w) & (w >= 0)).all(axis=1)
-    ok = valid.tolist()
-    try:
-        sums = _fsum_rows(w if all(ok) else np.where(valid[:, None], w, 0.0))
-    except OverflowError:  # the exact sum of the weights is past the largest float
-        raise NonFiniteValue("total mass overflows a float") from None
-    mass = [s * base_mass if v else math.nan for s, v in zip(sums, ok)]
-    if math.inf in mass:  # the sum is a float, its product with the cell width is not
+    """Each row's total mass: the ``fsum`` of the row, times ``base_mass``.  The rows hold
+    finite, nonnegative weights; a mass past the largest float raises :class:`NonFiniteValue`."""
+    mass = [s * base_mass for s in _fsum_rows(w)]
+    if not all(map(math.isfinite, mass)):  # the sum, or its product with the cell width
         raise NonFiniteValue("total mass overflows a float")
     return np.array(mass)
 
 
-def _weights(w: np.ndarray, base_mass: float, normalize: bool = False, check: bool = True):
-    """The rows of the float matrix ``w`` as the weights of measures, and their masses.
+def _weights(w: np.ndarray, base_mass: float, normalize: bool = False):
+    """The rows of the float matrix ``w`` as the weights of measures, validated, and their masses.
 
-    With ``normalize``, each row of positive mass is rescaled to mass one, in
-    place; with ``check``, the whole matrix is validated at once.
+    Non-finite, then negative weights are rejected before any sum, then a row of
+    no mass.  With ``normalize``, each row is rescaled to mass one in place, and
+    its mass is that of the rescaled row.
     """
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteValue("weights must be finite")
+    negative = (w < 0).any(axis=1)
+    if negative.any():
+        raise NegativeWeight(f"negative weight at atom {int(np.argmin(w[np.argmax(negative)]))}")
     mass = _masses(w, base_mass)
+    if not np.all(mass > 0.0):
+        raise ZeroMass("total mass must be strictly positive")
     if normalize:
-        rescale = mass > 0.0
-        np.divide(w, mass[:, None], out=w, where=rescale[:, None])
-        mass = np.where(rescale, _masses(w, base_mass), mass)
-    if check:
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteValue("weights must be finite")
-        negative = (w < 0).any(axis=1)
-        if negative.any():
-            raise NegativeWeight(f"negative weight at atom {int(np.argmin(w[np.argmax(negative)]))}")
-        if not np.all(mass > 0.0):
-            raise ZeroMass("total mass must be strictly positive")
+        w /= mass[:, None]
+        mass = _masses(w, base_mass)
     return w, mass
-
-
-def _normalized(values, base_mass: float, normalize: bool, tol: float):
-    """``(values, is_probability)`` of one measure, rescaled when asked; the constructor validates."""
-    v = np.array(values, dtype=float)
-    _, (mass,) = _weights(v.reshape(1, -1), base_mass, normalize, check=False)
-    return v, abs(mass - 1.0) <= tol
 
 
 def make_finite_measure(points, weights: Sequence[float], normalize: bool = False) -> FiniteMeasure:
@@ -421,15 +416,15 @@ def make_finite_measure(points, weights: Sequence[float], normalize: bool = Fals
 
     ``points`` is point data, or a :class:`PointSupport` to share.  The
     probability flag is set automatically when the (possibly rescaled)
-    weights sum to one within ``1e-12``.
+    weights sum to one within ``1e-12``.  Validates as the constructor does:
+    the points, then the number of weights, then the weights.
 
     Raises
     ------
     EmptySupport, NonFiniteValue, NegativeWeight, DuplicatePoint, ZeroMass
         on invalid input data.
     """
-    w, flag = _normalized(weights, 1.0, normalize, PROB_TOL_FINITE)
-    return FiniteMeasure(support=points, weights=w, is_probability=flag)
+    return _built(_point_support(points), weights, None, normalize)
 
 
 def make_grid_density(lo: float, hi: float, values: Sequence[float],
@@ -439,10 +434,9 @@ def make_grid_density(lo: float, hi: float, values: Sequence[float],
     The probability flag is set automatically when the integral is one
     within ``1e-9``; pass ``normalize=True`` when the raw values only
     integrate to one approximately (e.g. a truncated continuous density).
+    Validates as the constructor does: the grid, then the values.
     """
-    v = np.asarray(values, dtype=float)
-    v, flag = _normalized(v, (float(hi) - float(lo)) / max(v.size, 1), normalize, PROB_TOL_GRID)
-    return GridDensity(lo=float(lo), hi=float(hi), values=v, is_probability=flag)
+    return _built(*_grid(float(lo), float(hi), values), None, normalize)
 
 
 def counting_measure(points) -> FiniteMeasure:
@@ -494,9 +488,7 @@ class ConditionalFamily(_Atoms):
                              log_density=_freeze([m.log_density for m in members]),
                              _density=_freeze([m._density for m in members]))
 
-    @property
-    def n_x(self) -> int:
-        return self.x_points.n_atoms
+    n_x = property(lambda self: self.x_points.n_atoms)
 
     def __getitem__(self, k: int) -> Measure:
         k = range(self.n_x)[k]
@@ -555,7 +547,8 @@ def expectation(f, p: Measure) -> float:
     NonProbabilityMeasure
         if ``p`` is not a probability measure.
     NonFiniteValue
-        if ``f`` is non-finite somewhere ``p`` has mass.
+        if ``f`` is non-finite somewhere ``p`` has mass, or the integral is
+        past the largest float.
     """
     if not p.is_probability:
         raise NonProbabilityMeasure("expectation requires a probability measure")
@@ -571,14 +564,21 @@ def expectation(f, p: Measure) -> float:
             )
     if not np.all(np.isfinite(vals[atoms > 0])):
         raise NonFiniteValue("integrand is not finite on the support")
-    return _mean_rows(vals[None], atoms[None])[0]
+    (value,) = _mean_rows(vals[None], atoms[None])
+    if not math.isfinite(value):
+        raise NonFiniteValue("expectation overflows a float")
+    return value
 
 
 def _mean_rows(f: np.ndarray, masses: np.ndarray) -> list[float]:
-    """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass."""
+    """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass,
+    as one row of products with +0.0 on the atoms of no mass.  With ``f`` finite there, a row's
+    sum is not finite only where it is past the largest float: infinite where a product is (NaN
+    if two are, of opposite signs), NaN where only a partial sum is."""
     shape = np.broadcast(f, masses).shape
     live = np.greater(masses, 0.0, out=np.empty(shape, dtype=bool))
-    return _fsum_rows(np.multiply(f, masses, out=np.zeros(shape), where=live), live)
+    with np.errstate(over="ignore"):  # a product past the largest float is infinite
+        return _fsum_rows(np.multiply(f, masses, out=np.zeros(shape), where=live))
 
 
 def _average(weights, rows) -> float:

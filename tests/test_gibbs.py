@@ -137,33 +137,22 @@ def test_package_import_pulls_in_no_scipy():
 # log-sum-exp
 
 
-def _lse_reference(a, b=None):
-    """``log fsum(b * exp(a))``, shifted by the largest weighted exponent."""
-    b = [1.0] * len(a) if b is None else b
-    live = [(x, w) for x, w in zip(a, b) if w != 0]
-    if not live or all(x == -math.inf for x, _ in live):
+def _lse_reference(a):
+    """``log fsum(exp(a))``, shifted by the largest exponent."""
+    if all(x == -math.inf for x in a):
         return -math.inf
-    m = max(x for x, _ in live)
-    return m + math.log(math.fsum(w * math.exp(x - m) for x, w in live))
+    m = max(a)
+    return m + math.log(math.fsum(math.exp(x - m) for x in a))
 
 
-def _lse(a, b=None, axis=None):
+def _lse(a, axis=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _logsumexp(a, b=b, axis=axis)
-
-
-def test_logsumexp_ignores_zero_weights_next_to_huge_exponents():
-    a = [math.inf, 1e300, 0.0, 1.0]
-    b = [0.0, 0.0, 2.0, 3.0]
-    assert float(_lse(a, b)) == pytest.approx(
-        math.log(math.fsum([2.0, 3.0 * math.exp(1.0)])), rel=1e-15
-    )
+        return _logsumexp(a, axis=axis)
 
 
 def test_logsumexp_of_an_all_minus_inf_slice_is_minus_inf():
     assert float(_lse([-math.inf, -math.inf])) == -math.inf
-    assert float(_lse([5.0, 7.0], [0.0, 0.0])) == -math.inf
     rows = np.array([[-math.inf, -math.inf], [0.0, math.log(3.0)]])
     out = _lse(rows, axis=1)
     assert out[0] == -math.inf
@@ -173,14 +162,10 @@ def test_logsumexp_of_an_all_minus_inf_slice_is_minus_inf():
 def test_logsumexp_row_wise_matches_reference():
     rng = np.random.default_rng(31)
     a = rng.uniform(-30.0, 30.0, size=(5, 9))
-    b = rng.uniform(0.0, 2.0, size=(5, 9))
-    b[1, :4] = 0.0
-    for weights in (None, b):
-        out = _lse(a, weights, axis=1)
-        assert out.shape == (5,)
-        for k in range(5):
-            row_b = None if weights is None else list(weights[k])
-            assert out[k] == pytest.approx(_lse_reference(list(a[k]), row_b), rel=1e-14)
+    out = _lse(a, axis=1)
+    assert out.shape == (5,)
+    for k in range(5):
+        assert out[k] == pytest.approx(_lse_reference(list(a[k])), rel=1e-14)
 
 
 def test_logsumexp_handles_exponents_near_1e3_without_overflow():
@@ -188,17 +173,6 @@ def test_logsumexp_handles_exponents_near_1e3_without_overflow():
         out = float(_lse(a))
         assert math.isfinite(out)
         assert out == pytest.approx(_lse_reference(a), rel=1e-15)
-
-
-def test_logsumexp_with_positive_weights_matches_reference():
-    rng = np.random.default_rng(37)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        a = rng.uniform(-50.0, 50.0, size=n)
-        b = rng.uniform(1e-3, 5.0, size=n)
-        assert float(_lse(a, b)) == pytest.approx(
-            _lse_reference(list(a), list(b)), rel=1e-14, abs=1e-14
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +184,16 @@ def test_two_point_gibbs_weights():
     assert np.allclose(g.measure.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
     assert g.log_partition == pytest.approx(math.log(1.5), abs=1e-15)
     assert g.measure.is_probability
+
+
+def test_a_tilt_far_below_its_log_partition_value_does_not_warn():
+    # -lam * h is -1.7e308 on the first atom and 1.7e308 on the second, the
+    # log-partition value: the first log atom overflows to -inf, a null atom
+    h = CostTable.on_support([[0.0]], PTS, [[1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gibbs_tilt(h, counting_measure(PTS), 1.0, 0)
+    assert g.measure.log_density.tolist() == [-math.inf, 0.0]
 
 
 def test_negative_tilt_mirrors_the_weights():

@@ -198,6 +198,14 @@ def test_expectation_rejects_non_finite_integrand_on_support():
         expectation([math.inf, 0.0], p)
 
 
+def test_an_expectation_past_the_largest_float_is_a_non_finite_value():
+    # a probability within its tolerance: each product is finite, their sum is not
+    p = make_finite_measure(PTS, (0.5 + 1e-13, 0.5))
+    assert p.is_probability
+    with pytest.raises(NonFiniteValue, match="expectation overflows a float"):
+        expectation([1.7976931348623157e308] * 2, p)
+
+
 def test_expectation_ignores_integrand_off_support():
     p = make_finite_measure(PTS, (1.0, 0.0))
     assert expectation([2.0, math.nan], p) == 2.0
@@ -253,6 +261,32 @@ def test_an_overflowing_total_mass_is_a_non_finite_value(normalize):
         make_grid_density(0.0, 1.0, [1e308, 1e308], normalize=normalize)
     with pytest.raises(NonFiniteValue, match="total mass"):
         FiniteMeasure([0, 1], [1e308, 1e308])
+
+
+_HUGE = [1e308, 1e308]  # weights whose total mass overflows a float
+_WIDE_GRID = "the cell width of [-1e+308, 1e+308) overflows a float"
+
+
+@pytest.mark.parametrize(
+    "make, construct, error, message",
+    [
+        (lambda: make_finite_measure([0.0, 0.0], _HUGE), lambda: FiniteMeasure([0.0, 0.0], _HUGE),
+         DuplicatePoint, "support points must be pairwise distinct"),
+        (lambda: make_finite_measure([0.0, 1.0, 2.0], _HUGE),
+         lambda: FiniteMeasure([0.0, 1.0, 2.0], _HUGE), ValueError, "(2,) weights for 3 atoms"),
+        (lambda: make_grid_density(-1e308, 1e308, [1.0, 1.0]),
+         lambda: GridDensity(-1e308, 1e308, [1.0, 1.0]), NonFiniteValue, _WIDE_GRID),
+        (lambda: lebesgue_grid(-1e308, 1e308, 2),
+         lambda: GridDensity(-1e308, 1e308, [1.0, 1.0]), NonFiniteValue, _WIDE_GRID),
+    ],
+    ids=["duplicate-points", "too-few-weights", "grid", "lebesgue-grid"],
+)
+def test_make_raises_what_its_constructor_raises(make, construct, error, message):
+    # both validate the support, then the number of weights, then the weights
+    for build in (make, construct):
+        with pytest.raises(error) as e:
+            build()
+        assert (type(e.value), str(e.value)) == (error, message)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -512,19 +546,16 @@ def test_constructors_copy_the_callers_arrays():
 
 
 def _fsum(values):
-    """``math.fsum`` as its bit pattern, or the type and message of what it raises."""
+    """``math.fsum`` as its bit pattern, that of ``math.nan`` where it raises."""
     try:
         return struct.pack("<d", math.fsum(values))
-    except (OverflowError, ValueError) as e:
-        return type(e), str(e)
+    except (OverflowError, ValueError):
+        return struct.pack("<d", math.nan)
 
 
-def _outcome(x, live=None):
-    """``_fsum_rows`` as the bit patterns of its rows, or what it raises."""
-    try:
-        return [struct.pack("<d", v) for v in _fsum_rows(x, live)]
-    except (OverflowError, ValueError) as e:
-        return type(e), str(e)
+def _outcome(x):
+    """``_fsum_rows`` as the bit patterns of its rows."""
+    return [struct.pack("<d", v) for v in _fsum_rows(x)]
 
 
 _WIDE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and 1e±300 included
@@ -567,32 +598,22 @@ def test_the_row_sum_is_fsum_bit_for_bit(rows, seed):
     rows = rows + [long_row, [1.0, 2.0], [1.0, 2.0**-53]]
     width = max(map(len, rows))
     x = np.zeros((len(rows), width))
-    live = np.zeros(x.shape, dtype=bool)
     for k, r in enumerate(rows):
-        x[k, :len(r)], live[k, :len(r)] = r, True
+        x[k, :len(r)] = r
     with np.errstate(all="raise"):  # the cascade leaks no floating-point error
         proven = _cascade(x)[1]
     assert proven.any() and not proven.all()  # both paths ran
 
-    # with a mask, row k is fsum of its own entries; without, of the whole padded row
-    for mask, lists in ((live, rows), (None, x.tolist())):
-        want = [_fsum(r) for r in lists]
-        raised = [w for w in want if isinstance(w, tuple)]
-        if raised:  # the first row that raises decides, in row order
-            assert _outcome(x, mask) == raised[0]
-            keep = [k for k, w in enumerate(want) if not isinstance(w, tuple)]
-            x_kept = x[keep]
-            mask_kept = None if mask is None else mask[keep]
-            want = [want[k] for k in keep]
-        else:
-            x_kept, mask_kept = x, mask
-        assert _outcome(x_kept, mask_kept) == want
+    # row k is fsum of its own entries, NaN where that raises: the +0.0 padding changes no sum
+    want = [_fsum(r) for r in rows]
+    assert [_fsum(r) for r in x.tolist()] == want
+    assert _outcome(x) == want
 
 
 def test_a_small_call_sums_each_row_by_fsum():
     x = np.array([[1.0, 2.0**-53, 0.0], [0.1, 0.2, 0.3], [1e308, 5e307, 1e308]])
     assert x.size < _CASCADE_MIN
-    live = np.array([[True, True, False], [True, True, True], [True, True, True]])
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        _fsum_rows(x, live)
-    assert _fsum_rows(x[:2], live[:2]) == [1.0, math.fsum([0.1, 0.2, 0.3])]
+        math.fsum(x[2])
+    sums = _fsum_rows(x)  # the row fsum cannot sum is NaN, and the others are summed
+    assert sums[:2] == [1.0, math.fsum([0.1, 0.2, 0.3])] and math.isnan(sums[2])

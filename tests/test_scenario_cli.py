@@ -27,6 +27,7 @@ from gibbsgap.scenario import MAX_ORACLE_ITERS
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_POINT = REPO / "scenarios" / "two_point.json"
+DATA = REPO / "tests" / "data"
 VIOLATION = REPO / "scenarios" / "designed_violation.json"
 
 
@@ -649,6 +650,17 @@ def test_an_overflowing_oracle_step_does_not_warn(tmp_path):
     ]
 
 
+def test_an_overflowing_expectation_is_a_record_not_a_traceback():
+    # both costs are -1.7976931348623157e308: the tilt's log atoms are 0 and 0,
+    # so E_G[h] sums past the largest float
+    code, out, err = _cli("verify", DATA / "expectation_overflow.json", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [(r["check"], r["error"], r["note"]) for r in json.loads(out)["records"]] == [
+        (op, "NonFiniteValue", "expectation overflows a float")
+        for op in ("free_energy_identities", "gibbs_marginal_gap")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # stdout: an encoding that cannot hold the report, and a reader that goes away
 
@@ -700,3 +712,21 @@ def test_a_closed_stdout_ends_verify_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (1, b"")
+
+
+def test_a_reader_gone_mid_report_ends_an_unbuffered_verify_with_exit_1(tmp_path):
+    # unbuffered, stdout's buffer is a raw file: once the reader closes, a write
+    # into the pipe returns a short count, and the rest of the report must still
+    # be written, meet the broken pipe and exit 1
+    doc = json.loads(TWO_POINT.read_text())
+    doc["pairs"] *= 100  # a text report of about 370 KB, far more than a pipe holds
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.Popen([sys.executable, "-m", "gibbsgap.cli", "verify", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"scenario: two_point\n" and (proc.wait(), err) == (1, b"")

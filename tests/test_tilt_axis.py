@@ -20,6 +20,7 @@ import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,9 +118,10 @@ def _records(scn):
 # random scenarios
 
 #: Tilts at the edges: the smallest allowed, and ones whose log-partition
-#: value overflows next to a large cost.
+#: value overflows next to a large cost.  Costs at the edges: some reach the
+#: largest float, so a tilt of 1 already puts ``lam * h`` there.
 EDGE_TILTS = (1e-12, 0.5, 2.0, 800.0, 1e300)
-EDGE_COSTS = (1e10, -1e10, 1e300, -1e300)
+EDGE_COSTS = (1e10, -1e10, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)
 
 
 def _vector(rng, n, nulls):
@@ -207,6 +209,25 @@ def test_each_tilt_of_an_op_on_a_long_row_is_its_one_tilt_call(doc):
     _assert_each_tilt_is_its_one_tilt_call(doc)
 
 
+@st.composite
+def edge_docs(draw):
+    """A scenario with a cost row holding two costs of magnitude the largest float, either
+    sign, and a tilt of 1 or -1 among its tilts, so ``lam * h`` is at the float limit."""
+    doc = draw(scenario_docs(draw(st.integers(2, 12))))
+    row = doc["cost"][draw(st.integers(0, len(doc["cost"]) - 1))]
+    for j in draw(st.permutations(range(len(row))))[:2]:
+        row[j] = draw(st.sampled_from([1.0, -1.0])) * 1.7976931348623157e308
+    doc["lambdas"] = doc["lambdas"][:3] + [draw(st.sampled_from([1.0, -1.0]))]
+    return doc
+
+
+@settings(max_examples=20, deadline=None)
+@given(doc=edge_docs())
+def test_each_tilt_of_an_op_at_the_float_limit_is_its_one_tilt_call(doc):
+    # every op: no NumPy warning (warnings are errors), no OverflowError from a sum
+    _assert_each_tilt_is_its_one_tilt_call(doc)
+
+
 def test_a_check_mixing_failing_and_passing_tilts_matches_its_one_tilt_calls():
     # a cost of 1e10 raises InfiniteLogPartition at -1e300 and an infinite
     # divergence at 1e300, and the tilt-free terms of the other tilts still sum
@@ -233,6 +254,24 @@ def test_a_check_mixing_failing_and_passing_tilts_matches_its_one_tilt_calls():
         assert errors[5 * check + 1] == "InfiniteLogPartition"
         assert errors[5 * check] in (None, "NonConvergence")
     assert errors[:5] == [None, "InfiniteLogPartition", None, "InfiniteDivergence", None]
+
+
+@pytest.mark.parametrize("reference", ["counting", [0.2, 0.3, 0.5], [0.5, 1.5, 0.0]])
+def test_a_free_energy_is_minus_the_log_partition_over_the_tilt_bit_for_bit(reference):
+    # |lam| from 1e-12 to 1e300 in steps of 1e13, and max/3, where lam * h reaches the
+    # largest float at the cost -3
+    lams = [s * m for m in [10.0**e for e in range(-12, 301, 13)] + [1.7976931348623157e308 / 3.0]
+            for s in (1.0, -1.0)]
+    doc = {
+        "schema": 1, "name": "free-energy", "y_support": [[0.0], [1.0], [2.0]],
+        "x_points": [[0.0], [1.0], [2.0]], "reference": reference, "lambdas": lams,
+        "cost": [[0.5, -1.0, 2.0], [1e-300, 0.0, -3.0], [1.0, 1.0, 1.0]], "p_x": [1.0, 1.0, 1.0],
+        "pairs": [{"op": "free_energy_identities", "x_index": k} for k in range(3)],
+    }
+    records = [r for r in run_scenario(_build_scenario(doc))["records"] if r["error"] is None]
+    assert len(records) > len(lams)
+    for r in records:
+        assert _bits(r["direct"]) == _bits(-r["terms"]["log_partition"] / r["lambda"])
 
 
 # ---------------------------------------------------------------------------
