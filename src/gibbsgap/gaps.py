@@ -19,32 +19,38 @@ measure, scaled by ``1/lam``:
 * marginal-vs-conditional (averaged over an X-marginal):
   ``lam * gap = mutual + lautum + cross_marginal - cross_conditional``
   where the cross terms integrate ``log(dP_{Y|X}/dG_x)`` against the
-  product law and the joint law respectively — both vanish identically
-  when the conditional family *is* the Gibbs family.
+  product law and the joint law respectively;
+* the Gibbs family as the conditional family: the family is its own tilt,
+  both cross terms vanish identically, and ``lam * gap = mutual + lautum``.
 
 Each decomposition is returned with every term stored, so a caller can
 audit the arithmetic; ``discrepancy = |direct - closed_form|`` is computed
 from the stored fields.
 
-Every form runs through one row kernel, at all the tilts of a call: the
-laws are stacked one row per conditioning point, their reference is tilted
-by the one tilt helper of :mod:`gibbsgap.gibbs`, and each term is a
-compensated per-row sum.  The inputs are checked, and the direct value and
-the terms that do not name the Gibbs measure are summed, once for all
-tilts; the Gibbs terms are summed at each tilt.  A single conditioning
-point is the one-row case, and its tilts are stacked as the rows of one
-sum; the averaged and marginal forms are ``p_x``-weighted compensated sums
-of the per-row values, tilted one tilt at a time.  Each public function
-checks its tilt and is the one-tilt case of its kernel.
+Every form is one entry of a table of identities, run through one row
+kernel at all the tilts of a call.  The entry names the law it tilts, its
+terms, its closed form and its tag; the kernel holds no case of its own.
+The laws are stacked one row per conditioning point, the named law is
+tilted by the one tilt helper of :mod:`gibbsgap.gibbs` when a term needs
+the tilt, and each term is a compensated per-row sum.  The inputs are
+checked, and the direct value and the terms that do not name the Gibbs
+measure are summed, once, before the first tilt; the Gibbs terms are
+summed at each tilt.  A single conditioning point is the one-row case, and
+its tilts are stacked as the rows of one sum; the averaged and marginal
+forms are ``p_x``-weighted compensated sums of the per-row values, tilted
+one tilt at a time.  Each public function checks its tilt and is the
+one-tilt case of its kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
-checked up front and violations raise, rather than producing ``inf - inf``.
+checked up front and violations raise, rather than producing ``inf - inf``,
+and a row whose gap is past the largest float raises
+:class:`~gibbsgap.errors.NonFiniteExpectation` in every form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -124,7 +130,10 @@ class GapDecomposition:
 # law ``a`` times ``log b - log c`` over the atoms of ``b``, so ``(a, a, c)`` is
 # ``kl(a, c)``.  The laws are ``p1``, ``p2``, ``ref`` and ``gibbs``, the tilt
 # of the law named by ``reference``; the ``dominated`` laws must be absolutely
-# continuous w.r.t. it.
+# continuous w.r.t. it.  A law is tilted only if a term names ``gibbs``.  Each
+# form is its identity alone: the mixture is ``_COMMON`` with its own tag, and
+# the Gibbs marginal names the family, its own tilt, where the marginal names
+# ``gibbs``.
 
 
 class _Identity(NamedTuple):
@@ -169,16 +178,22 @@ _MARGINAL = _Identity(
     "explicit",
     dominated=(),  # its hypotheses need the marginal: _marginal checks them
 )
+# the Gibbs family is its own tilt: the cross terms are log 1 at every atom
+_GIBBS_MARGINAL = _MARGINAL._replace(
+    terms={**_MARGINAL.terms, "cross_marginal": ("p1", "p2", "p2"),
+           "cross_conditional": ("p2", "p2", "p2")},
+    lam_gap=lambda t: t["mutual"] + t["lautum"],
+)
 
 
-def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights, checked: bool = True) -> float:
-    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``; ``checked`` rejects a non-finite row.
-    An expectation past the largest float raises :class:`NonFiniteValue`."""
+def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights) -> float:
+    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``.  An expectation past the largest
+    float raises :class:`NonFiniteValue`, and a row's gap past it :class:`NonFiniteExpectation`."""
     means = _mean_rows(h_rows, p1.mass), _mean_rows(h_rows, p2.mass)
     if not all(map(math.isfinite, means[0] + means[1])):
         raise NonFiniteValue("expectation overflows a float")
     rows = [a - b for a, b in zip(*means)]
-    for value in rows if checked else ():
+    for value in rows:
         if not math.isfinite(value):
             raise NonFiniteExpectation(f"gap evaluated to {value!r}")
     return _average(weights, rows)
@@ -193,33 +208,33 @@ def _outcome(make: Callable, *args):
         return e.with_traceback(None)
 
 
-def _decompose(identity, h, rows, weights, lams, laws, messages, log_gibbs=None, checked=True):
+def _decompose(identity, h, rows, weights, lams, laws, messages):
     """The row kernel: at each tilt of ``lams``, the terms and gap of ``identity``, reduced
     with ``weights``, or the error raised at that tilt.
 
     Each law holds a row per entry of ``rows`` or one for all; ``messages``
-    names the dominated laws.  The reference is tilted unless ``log_gibbs``
-    is, at the one tilt of ``lams``.  The inputs are checked, and the direct value and the terms
-    that do not name ``gibbs`` summed, once for all tilts; ``h``'s rows are read by :func:`_at`.
+    names the dominated laws.  The inputs are checked, and the direct value and the terms
+    that do not name ``gibbs`` summed, once, before the first tilt; ``h``'s rows are read by
+    :func:`_at`.  The law named by ``identity.reference`` is tilted only if a term names
+    ``gibbs``, so an identity that names none is one pass at all its tilts.
     """
     ref = laws[identity.reference]
     _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
     h.require_matches(ref)
     h_rows = _at(h.values, rows)
+    direct = _outcome(_direct, h_rows, laws["p1"], laws["p2"], weights)
+    fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
+             for name, (a, b, c) in identity.terms.items() if "gibbs" not in (b, c)}
+    tilting = len(fixed) < len(identity.terms)
     out: list = [None] * len(lams)
-    fixed = None  # the tilt-free terms, summed for the first tilt that needs them
-    for tilts, log_g in [([0], log_gibbs)] if log_gibbs is not None else _tilts(h_rows, ref, lams):
+    for tilts, log_g in _tilts(h_rows, ref, lams) if tilting else [(range(len(lams)), None)]:
         if isinstance(log_g, GibbsGapError):
             out[tilts[0]] = log_g
             continue
-        if fixed is None:
-            fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
-                     for name, (a, b, c) in identity.terms.items() if "gibbs" not in (b, c)}
-            direct = _outcome(_direct, h_rows, laws["p1"], laws["p2"], weights, checked)
         tilted = {**laws, "gibbs": _Rows(None, log_g, None)}
         sums = {name: _kl_rows(tilted[a].mass, tilted[b].log, tilted[c].log)
                 for name, (a, b, c) in identity.terms.items() if name not in fixed}
-        n = len(log_g) // len(tilts)  # the rows of each tilt
+        n = len(rows)  # the rows of each tilt
         for j, t in enumerate(tilts):
             terms = {name: fixed[name] if name in fixed else
                      _average(weights, sums[name][j * n:j * n + n]) for name in identity.terms}
@@ -312,12 +327,12 @@ def gap_closed_form(
     return _one_tilt(_common_gap(h, x_index, p1, p2, q, [_require_lambda(lam)]))
 
 
-def _common_gap(h, x_index, p1, p2, q, lams) -> list:
-    """:func:`gap_closed_form` at every tilt of ``lams``."""
+def _common_gap(h, x_index, p1, p2, q, lams, identity=_COMMON) -> list:
+    """:func:`gap_closed_form` at every tilt of ``lams``, tagged as ``identity`` is."""
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     laws = {"p1": _row(p1), "p2": _row(p2), "ref": _row(q)}
     messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
-    return _decompose(_COMMON, h, rows, [1.0], lams, laws, messages)
+    return _decompose(identity, h, rows, [1.0], lams, laws, messages)
 
 
 def gap_closed_form_relative(
@@ -367,9 +382,8 @@ def gap_mixture_reference(
 
 def _mixture_gap(h, x_index, p1, p2, alpha, lams) -> list:
     """:func:`gap_mixture_reference` at every tilt of ``lams``."""
-    decs = _common_gap(h, x_index, p1, p2, mix(p1, p2, alpha), lams)
-    return [d if isinstance(d, GibbsGapError) else replace(d, reference_tag=f"mixture({alpha:g})")
-            for d in decs]
+    identity = _COMMON._replace(tag=f"mixture({alpha:g})")
+    return _common_gap(h, x_index, p1, p2, mix(p1, p2, alpha), lams, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +457,10 @@ def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
 # marginal vs conditional
 
 
-def _marginal(h, cond, p_x, q, lams, tilted=False) -> list:
-    """:func:`marginal_gap` at every tilt of ``lams``; ``tilted`` when ``cond`` is ``q``'s Gibbs
-    family at the one tilt of ``lams``, so its rows are the tilt."""
+def _marginal(h, cond, p_x, q, lams, identity=_MARGINAL) -> list:
+    """:func:`marginal_gap` at every tilt of ``lams`` by ``identity``: ``_MARGINAL`` tilts ``q``,
+    and ``_GIBBS_MARGINAL`` reads ``cond``, ``q``'s Gibbs family at the one tilt of ``lams``, as
+    its own tilt."""
     live, weights, (members,) = _aligned(h, p_x, cond)
     laws = {"p2": members, "ref": _row(q)}
     _require_continuity(
@@ -454,8 +469,7 @@ def _marginal(h, cond, p_x, q, lams, tilted=False) -> list:
     laws["p1"] = _row(marginal_y(cond, p_x))  # dominates every member it mixes in
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
     _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
-    log_gibbs = laws["p2"].log if tilted else None
-    return _decompose(_MARGINAL, h, live, weights, lams, laws, [], log_gibbs, False)
+    return _decompose(identity, h, live, weights, lams, laws, [])
 
 
 def marginal_gap(
@@ -497,8 +511,9 @@ def gibbs_marginal_gap(
 
 
 def _gibbs_marginal(h, q, lams, p_x) -> list:
-    """:func:`gibbs_marginal_gap` at every tilt of ``lams``: the family is the tilt, so no term
-    is tilt-free, and each tilt is its own :func:`_marginal`."""
+    """:func:`gibbs_marginal_gap` at every tilt of ``lams``: the family is the tilt, so each tilt
+    builds its family and is its own :func:`_marginal` by ``_GIBBS_MARGINAL``, which tilts no
+    further."""
     if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     h.require_matches(q)
@@ -510,5 +525,4 @@ def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
     _one_tilt(k_vals)
     log_gibbs.flags.writeable = False
     family = _family(h.x_points, q.domain, log_density=log_gibbs)
-    dec = _one_tilt(_marginal(h, family, p_x, q, [lam], tilted=True))
-    return replace(dec, closed_form=(dec.terms["mutual"] + dec.terms["lautum"]) / lam)
+    return _one_tilt(_marginal(h, family, p_x, q, [lam], _GIBBS_MARGINAL))

@@ -319,37 +319,32 @@ def _splits(q: Measure, h_rows: np.ndarray, row_check, mass_g, log_g, lams,
     of the cost row ``h_rows[row_check[k]]``, with atom masses ``mass_g[k]`` and free energy
     ``free_energies[k]``, or the :class:`InfiniteDivergence` raised there, or the
     :class:`NonFiniteValue` of an expectation past the largest float.  Each divergence and
-    ``E_G[h]`` is one sum over the rows, and ``E_Q[h]`` one sum over the cost rows that need it."""
+    ``E_G[h]`` is one sum over the rows, and ``E_Q[h]`` one sum over the cost rows."""
     d_g_q = _kl_rows(mass_g, log_g, q.log_density[None])
-    out: list = [InfiniteDivergence("kl(gibbs, reference) is infinite") if math.isinf(d) else None
-                 for d in d_g_q]
-    ok = [k for k, row in enumerate(out) if row is None]
-    if not ok:
-        return out
-    mean_g = _mean_rows(h_rows[[row_check[k] for k in ok]], mass_g[ok])
-    d_q_g, mean_q = [None] * len(ok), {}  # the reference side, skipped unless q is a probability
-    if q.is_probability:
-        d_q_g = _kl_rows(atom_masses(q)[None], q.log_density[None], log_g[ok])
-        need = sorted({row_check[k] for k, d in zip(ok, d_q_g) if not math.isinf(d)})
-        if need:  # E_Q[h] once per cost row, if a tilt needs it
-            mean_q = dict(zip(need, _mean_rows(h_rows[need], atom_masses(q)[None])))
-    for k, mean, d_qg in zip(ok, mean_g, d_q_g, strict=True):
-        via_gibbs = mean + d_g_q[k] / lams[k]
-        if d_qg is not None and math.isinf(d_qg):
-            out[k] = InfiniteDivergence("kl(reference, gibbs) is infinite")
-            continue
-        if not (math.isfinite(mean) and math.isfinite(mean_q.get(row_check[k], 0.0))):
-            out[k] = NonFiniteValue("expectation overflows a float")  # E_G[h] or E_Q[h]
-            continue
-        via_reference = None if d_qg is None else mean_q[row_check[k]] - d_qg / lams[k]
-        sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
-        out[k] = FreeEnergySplit(
-            free_energy=free_energies[k],
-            via_reference=via_reference,
-            via_gibbs=via_gibbs,
-            max_discrepancy=max(abs(free_energies[k] - s) for s in sides),
-            reference_skipped=via_reference is None,
-        )
+    mean_g = _mean_rows(h_rows[row_check], mass_g)
+    d_q_g, mean_q = [None] * len(d_g_q), [0.0] * len(h_rows)
+    if q.is_probability:  # the reference side, skipped otherwise
+        d_q_g = _kl_rows(atom_masses(q)[None], q.log_density[None], log_g)
+        mean_q = _mean_rows(h_rows, atom_masses(q)[None])
+    out: list = []
+    for k, (d_gq, mean, d_qg) in enumerate(zip(d_g_q, mean_g, d_q_g, strict=True)):
+        if math.isinf(d_gq):
+            out.append(InfiniteDivergence("kl(gibbs, reference) is infinite"))
+        elif d_qg is not None and math.isinf(d_qg):
+            out.append(InfiniteDivergence("kl(reference, gibbs) is infinite"))
+        elif not (math.isfinite(mean) and math.isfinite(mean_q[row_check[k]])):
+            out.append(NonFiniteValue("expectation overflows a float"))  # E_G[h] or E_Q[h]
+        else:
+            via_gibbs = mean + d_gq / lams[k]
+            via_reference = None if d_qg is None else mean_q[row_check[k]] - d_qg / lams[k]
+            sides = [via_gibbs] if via_reference is None else [via_gibbs, via_reference]
+            out.append(FreeEnergySplit(
+                free_energy=free_energies[k],
+                via_reference=via_reference,
+                via_gibbs=via_gibbs,
+                max_discrepancy=max(abs(free_energies[k] - s) for s in sides),
+                reference_skipped=via_reference is None,
+            ))
     return out
 
 
@@ -423,7 +418,8 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     reach there.  A step normalises by :func:`_normalize_rows`, ``_logsumexp``'s
     operations inline, and the loop ends as soon as no row is left.  Returns,
     per check, per tilt, an :class:`_OracleRow` or the
-    :class:`InfiniteLogPartition` or :class:`NonConvergence` raised there.
+    :class:`InfiniteLogPartition`, :class:`NonConvergence` or
+    :class:`NonFiniteValue` (an ``E_P[h]`` past the largest float) raised there.
     """
     if not isinstance(q, FiniteMeasure):
         raise RepresentationMismatch("the variational oracle works on finite supports")
@@ -485,12 +481,14 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
                                         tvs.tolist(), strict=True):
         lam = lams[k % n_t]
         value, free_energy = mean + div / lam, -k_vals[k] / lam
-        if not abs(value - free_energy) <= 1e-6:  # NaN too: E_P[h] past the largest float
+        if not math.isfinite(mean):
+            out[k] = NonFiniteValue("expectation overflows a float")
+        elif not abs(value - free_energy) <= 1e-6:
             out[k] = NonConvergence(
                 f"objective {value!r} is not within 1e-6 of the free energy {free_energy!r} "
                 f"after {n_steps[k]} iterations")
-            continue
-        out[k] = _OracleRow(log_pk, log_g[k], value, free_energy, tv)
+        else:
+            out[k] = _OracleRow(log_pk, log_g[k], value, free_energy, tv)
     return _by_check(out, len(h_rows), n_t)
 
 
@@ -515,7 +513,10 @@ def variational_oracle(
     must also land within 1e-6 of the closed-form free energy.  If it does
     not, or ``iters`` steps leave ``r`` above the tolerance,
     :class:`~gibbsgap.errors.NonConvergence` is raised: the iterate is never
-    silently returned as if optimal.  Where a step leaves the iterate
+    silently returned as if optimal.  A certified iterate whose ``E_P[h]``
+    sums past the largest float raises
+    :class:`~gibbsgap.errors.NonFiniteValue`, as ``free_energy_identities``
+    does for ``E_G[h]``.  Where a step leaves the iterate
     unchanged bit for bit (the residual of a large ``|lam|`` can stop above
     a tolerance finer than its rounding), every later step repeats it, so
     the oracle stops there and raises the

@@ -406,7 +406,8 @@ def _weights(w: np.ndarray, base_mass: float, normalize: bool = False):
     if not np.all(mass > 0.0):
         raise ZeroMass("total mass must be strictly positive")
     if normalize:
-        w /= mass[:, None]
+        with np.errstate(over="ignore"):  # a row past the largest float: _masses raises
+            w /= mass[:, None]
         mass = _masses(w, base_mass)
     return w, mass
 

@@ -10,7 +10,10 @@ from gibbsgap import (
     CostTable,
     IndexMismatch,
     MutualContinuityViolated,
+    NonFiniteExpectation,
+    NonProbabilityMeasure,
     NotAbsolutelyContinuous,
+    RepresentationMismatch,
     constant_family,
     counting_measure,
     expected_gap_closed_form,
@@ -506,3 +509,91 @@ def test_every_function_taking_a_tilt_rejects_a_bad_one_before_any_other_check(n
                          (1, make_finite_measure([[5.0]], (1.0,)))):
         with pytest.raises(ValueError, match=r"^tilt parameter must satisfy \|lam\| >= 1e-12"):
             _tilt_taking_calls(x_index, p_x)[name](lam)
+
+
+# ---------------------------------------------------------------------------
+# contract errors: each call's error type and message
+
+
+def _contract_calls() -> dict:
+    """A call that breaks one contract of a gap form, with the error and message it raises."""
+    q, px = counting_measure(PTS), make_finite_measure(y_points(2), (0.5, 0.5))
+    fam = constant_family(y_points(2), P_AT_0)
+    h_elsewhere = CostTable.on_support([[5.0], [6.0]], PTS, [[0.0, 1.0], [1.0, 0.0]])
+    half = make_finite_measure(PTS, (0.5, 0.0))  # mass 1/2
+    other = counting_measure([[0.0], [2.0]])  # on another Y-support
+    even = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
+    points = "the cost table's conditioning points must equal the "
+    not_probability = (NonProbabilityMeasure, "kl(p, q) requires p to be a probability")
+    direction = (ValueError, "direction must be 'P2-ref' or 'P1-ref', got 'sideways'")
+    foreign = (RepresentationMismatch, "measure does not live on the cost table's Y-representation")
+    return {
+        "expected_gap_direct, p_x elsewhere": (
+            lambda: expected_gap_direct(h_elsewhere, fam, fam, px), IndexMismatch,
+            points + "families'"),
+        "expected_gap_closed_form, p_x elsewhere": (
+            lambda: expected_gap_closed_form(h_elsewhere, fam, fam, px, q, 1.0), IndexMismatch,
+            points + "families'"),
+        "expected_gap_relative, p_x elsewhere": (
+            lambda: expected_gap_relative(h_elsewhere, fam, fam, px, "P2-ref", 1.0),
+            IndexMismatch, points + "families'"),
+        "marginal_gap, p_x elsewhere": (
+            lambda: marginal_gap(h_elsewhere, fam, px, q, 1.0), IndexMismatch, points + "family's"),
+        "gibbs_marginal_gap, p_x elsewhere": (
+            lambda: gibbs_marginal_gap(h_elsewhere, q, 1.0, px), IndexMismatch,
+            "p_x must live on the cost table's conditioning points"),
+        "gap_direct, p1 of mass 1/2": (
+            lambda: gap_direct(H01, 0, half, P_AT_1), NonProbabilityMeasure,
+            "expectation requires a probability measure"),
+        "gap_closed_form, p1 of mass 1/2": (
+            lambda: gap_closed_form(H01, 0, half, P_AT_1, q, 1.0), *not_probability),
+        "gap_closed_form_relative, p2 of mass 1/2": (
+            lambda: gap_closed_form_relative(H01, 0, P_AT_0, half, "P1-ref", 1.0),
+            *not_probability),
+        "gap_mixture_reference, p1 of mass 1/2": (
+            lambda: gap_mixture_reference(H01, 0, half, P_AT_1, 0.5, 1.0), *not_probability),
+        "gap_closed_form_relative, bad direction": (
+            lambda: gap_closed_form_relative(H01, 0, P_AT_0, P_AT_1, "sideways", 1.0), *direction),
+        "expected_gap_relative, bad direction": (
+            lambda: expected_gap_relative(H01, fam, fam, px, "sideways", 1.0), *direction),
+        "gap_direct, laws elsewhere": (
+            lambda: gap_direct(H01, 0, even, even), *foreign),
+        "gap_closed_form, laws elsewhere": (
+            lambda: gap_closed_form(H01, 0, even, even, other, 1.0), *foreign),
+        "gibbs_marginal_gap, reference elsewhere": (
+            lambda: gibbs_marginal_gap(H01, other, 1.0, make_finite_measure([[0.0]], (1.0,))),
+            *foreign),
+    }
+
+
+@pytest.mark.parametrize("name", list(_contract_calls()))
+def test_a_broken_contract_raises_its_error_and_message(name):
+    call, error, message = _contract_calls()[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+# ---------------------------------------------------------------------------
+# a gap row past the largest float
+
+M = 1.7976931348623157e308
+
+
+def _overflowing_marginal(p_x):
+    """Costs +-M whose marginal-vs-member gap overflows: to +inf at point 0, -inf at point 1."""
+    pts = y_points(3)
+    h = CostTable.on_support(pts, PTS, [[M, -M], [-M, M], [0.0, 0.0]])
+    rows = ((0.001, 0.999), (0.001, 0.999), (0.999, 0.001))
+    fam = ConditionalFamily(x_points=pts, members=tuple(
+        make_finite_measure(PTS, w, normalize=True) for w in rows))
+    return h, fam, make_finite_measure(pts, p_x), counting_measure(PTS)
+
+
+@pytest.mark.parametrize("p_x", [(0.05, 0.05, 0.9), (0.1, 0.0, 0.9)])
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_a_marginal_gap_row_past_the_largest_float_is_a_non_finite_expectation(p_x, lam):
+    # two rows whose gaps overflow with opposite signs, or one alone: the first such row
+    # raises, as in every other gap form, before inf - inf could be summed
+    with pytest.raises(NonFiniteExpectation, match=r"^gap evaluated to inf$"):
+        marginal_gap(*_overflowing_marginal(p_x), lam)

@@ -16,6 +16,7 @@ from gibbsgap import (
     IndexMismatch,
     InfiniteLogPartition,
     NonConvergence,
+    NonFiniteValue,
     RepresentationMismatch,
     counting_measure,
     expectation,
@@ -579,3 +580,37 @@ def test_a_tilt_built_in_one_buffer_is_t_times_h_plus_log_ref_bit_for_bit(data, 
     a, k_vals = _tilt_rows(h, log_ref, t, 1.0)
     assert a.tobytes() == expected.tobytes()
     assert k_vals.tobytes() == _logsumexp(expected, axis=-1).tobytes()
+
+
+def _foreign_support_calls() -> dict:
+    """Each tilting function given a reference that does not live on the cost table's Y-support."""
+    pts = [[0.0], [1.0]]
+    h = CostTable.on_support([[0.0]], pts, [[0.0, 1.0]])
+    other = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
+    g = gibbs_tilt(h, make_finite_measure(pts, (0.5, 0.5)), 1.0, 0)
+    return {
+        "log_partition": lambda: log_partition(h, other, 0, 1.0),
+        "gibbs_tilt": lambda: gibbs_tilt(h, other, 1.0, 0),
+        "free_energy_identities": lambda: free_energy_identities(g, h, other, 0),
+        "variational_oracle": lambda: variational_oracle(h, other, 1.0, 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_foreign_support_calls()))
+def test_a_reference_on_another_y_support_is_a_representation_mismatch(name):
+    with pytest.raises(RepresentationMismatch) as caught:
+        _foreign_support_calls()[name]()
+    assert str(caught.value) == "measure does not live on the cost table's Y-representation"
+
+
+def test_an_oracle_expectation_past_the_largest_float_is_a_non_finite_value():
+    # E_P[h] sums past the largest float at the optimum; the free-energy identities of the
+    # same tilt raise the same error for E_G[h]
+    pts = [[0.0], [1.0], [2.0]]
+    big = 1.7976931348623157e308
+    h = CostTable.on_support([[0.0]], pts, [[big, 1.7958954417274534e308, big]])
+    q = make_finite_measure(pts, (0.2, 0.3, 0.5))
+    for call in (lambda: variational_oracle(h, q, -1.0, 0),
+                 lambda: free_energy_identities(gibbs_tilt(h, q, -1.0, 0), h, q, 0)):
+        with pytest.raises(NonFiniteValue, match=r"^expectation overflows a float$"):
+            call()

@@ -289,6 +289,13 @@ def test_make_raises_what_its_constructor_raises(make, construct, error, message
         assert (type(e.value), str(e.value)) == (error, message)
 
 
+def test_a_row_rescaled_past_the_largest_float_does_not_warn():
+    # the mass 1e-310 is subnormal, so 1.0 / 1e-310 overflows in the rescaling divide
+    with pytest.raises(NonFiniteValue) as e:
+        make_grid_density(0.0, 1e-310, [1.0], normalize=True)
+    assert str(e.value) == "total mass overflows a float"
+
+
 @pytest.mark.parametrize("normalize", [False, True])
 def test_a_total_mass_overflowing_with_the_cell_width_is_a_non_finite_value(normalize):
     # the weights sum to 2e300, a float; times the cell width 5e299 they do not

@@ -661,6 +661,71 @@ def test_an_overflowing_expectation_is_a_record_not_a_traceback():
     ]
 
 
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "doc, records",
+    [
+        ({  # E_P[h] and E_G[h] sum past the largest float at the optimum
+            "y_support": [[0.0], [1.0], [2.0]], "x_points": [[0.0]],
+            "cost": [[_MAX, 1.7958954417274534e308, _MAX]], "reference": [0.2, 0.3, 0.5],
+            "lambdas": [-1.0], "p_x": [1.0],
+            "pairs": [{"op": "variational_oracle"}, {"op": "free_energy_identities"}],
+        }, [("variational_oracle", "NonFiniteValue", "expectation overflows a float"),
+            ("free_energy_identities", "NonFiniteValue", "expectation overflows a float")]),
+        ({  # the gaps of points 0 and 1 overflow to +inf and -inf
+            "y_support": [[0.0], [1.0]], "x_points": [[0.0], [1.0], [2.0]],
+            "cost": [[_MAX, -_MAX], [-_MAX, _MAX], [0.0, 0.0]], "reference": "counting",
+            "lambdas": [1.0], "p_x": [0.05, 0.05, 0.9],
+            "families": {"f": [[0.001, 0.999], [0.001, 0.999], [0.999, 0.001]]},
+            "pairs": [{"op": "marginal_gap", "family": "f"}],
+        }, [("marginal_gap(family=f)", "NonFiniteExpectation", "gap evaluated to inf")]),
+    ],
+    ids=["oracle", "marginal-gap"],
+)
+def test_a_value_past_the_largest_float_is_a_record_not_a_traceback(tmp_path, doc, records):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"schema": 1, "name": "overflow", **doc}))
+    code, out, err = _cli("verify", path, "--format", "json")
+    assert (code, err) == (1, "")
+    assert [(r["check"], r["error"], r["note"]) for r in json.loads(out)["records"]] == records
+
+
+def test_a_grid_row_rescaled_past_the_largest_float_exits_2_with_one_line(tmp_path):
+    doc = {"schema": 1, "name": "subnormal_cell", "x_points": [[0.0]],
+           "y_grid": {"lo": 0.0, "hi": 1e-310, "n_cells": 1}, "cost": [[0.0]],
+           "reference": "lebesgue", "lambdas": [1.0], "p_x": [1.0], "families": {"f": [[1.0]]},
+           "pairs": [{"op": "marginal_gap", "family": "f"}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert _cli("verify", path) == (
+        2, "", f"error: {path}: NonFiniteValue: total mass overflows a float\n")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: (d.pop("y_support"), d.update(y_grid=[0.0, 1.0, 2])),
+         "'y_grid' must be an object with lo/hi/n_cells"),
+        (lambda d: d.update(reference="lebesgue"),
+         "a 'lebesgue' reference does not fit this Y-representation"),
+        (lambda d: d.pop("pairs"), "scenario needs a non-empty 'pairs' list of checks"),
+        (lambda d: d["pairs"].insert(0, ["gap_closed_form"]), "pairs[0]: each check must be an object"),
+    ],
+    ids=["y_grid-not-an-object", "lebesgue-on-points", "no-pairs", "check-not-an-object"],
+)
+def test_a_loader_exit_names_its_fault(tmp_path, mutate, message):
+    doc = json.loads(TWO_POINT.read_text())
+    mutate(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(path)
+    assert str(e.value) == message
+    assert _cli("verify", path) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # stdout: an encoding that cannot hold the report, and a reader that goes away
 

@@ -1,0 +1,122 @@
+"""Compare the reports of this checkout's ``src/`` with those of another revision.
+
+    python3 tools/same_reports.py REV [FILE ...]
+
+Unpacks ``src/`` of the git revision ``REV`` with ``git archive`` into a
+temporary directory, then runs ``gibbsgap verify`` with both trees, in JSON
+and in text, on a fixed input set (and on each ``FILE`` given):
+
+* ``scenarios/*.json`` and ``bench/data/*.json``;
+* ``tests/data/*.json``, the golden ``*.report.json`` files excepted;
+* the files of every workload of ``bench/workloads.py`` at seeds 911 and 4242;
+* ``gibbsgap generate --seed 7`` at 4x8x5 and 16x32x3 (written by ``REV``'s
+  tree; the generated bytes of both trees are compared too).
+
+It prints each input whose report, exit code or stderr differs, the JSON
+``wall_time_s`` and the text summary's time ignored, and exits 1 if any
+does.  Uses the standard library and git only.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (911, 4242)
+GENERATE = ((4, 8, 5), (16, 32, 3))
+
+
+def _unpack(rev: str, into: Path) -> Path:
+    """``src/`` of ``rev``, written under ``into``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+def _gibbsgap(src: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "gibbsgap.cli", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=ROOT)
+
+
+def _workload_files(out_dir: Path) -> list[Path]:
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [path for name in workloads.WORKLOADS for seed in SEEDS
+            for path in workloads.workload_files(name, seed, out_dir)]
+
+
+def _generated(srcs: list[Path], out_dir: Path) -> tuple[list[Path], list[str]]:
+    """The files ``generate`` writes with the first tree, and the runs whose bytes differ."""
+    files, differ = [], []
+    for nx, ny, count in GENERATE:
+        args = ["--seed", "7", "--nx", str(nx), "--ny", str(ny), "--count", str(count)]
+        written = []
+        for i, src in enumerate(srcs):
+            out = out_dir / f"gen-{nx}x{ny}x{count}-{i}"
+            _gibbsgap(src, "generate", *args, "--out", str(out))
+            written.append(sorted(out.iterdir()))
+        old, new = ([(p.name, p.read_bytes()) for p in w] for w in written)
+        if old != new:
+            differ.append(f"generate {' '.join(args)}")
+        files += written[0]
+    return files, differ
+
+
+def _seen(src: Path, path: Path) -> list:
+    """What ``verify`` shows of ``path`` in JSON and in text, with its timing removed."""
+    seen = []
+    for fmt in ("json", "text"):
+        run = _gibbsgap(src, "verify", "--format", fmt, str(path))
+        out = re.sub(rb'\n *"wall_time_s": [^\n]*', b"", run.stdout)
+        out = re.sub(rb"\(\d+\.\d+s\)\n$", b"", out)
+        seen.append((fmt, run.returncode, out, run.stderr.replace(bytes(src), b"<src>")))
+    return seen
+
+
+def _first_change(a: bytes, b: bytes) -> str:
+    """The first line where ``a`` and ``b`` differ, as it reads in each."""
+    old, new = a.splitlines(), b.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
+    line = lambda lines: lines[i].decode(errors="replace") if i < len(lines) else "<end>"
+    return f"line {i + 1}: {line(old)!r}\n        -> {line(new)!r}"
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        srcs = [_unpack(argv[0], tmp / "rev"), ROOT / "src"]
+        inputs = [*sorted((ROOT / "scenarios").glob("*.json")),
+                  *sorted((ROOT / "bench" / "data").glob("*.json")),
+                  *sorted(p for p in (ROOT / "tests" / "data").glob("*.json")
+                          if not p.name.endswith(".report.json")),
+                  *_workload_files(tmp / "workloads")]
+        generated, differ = _generated(srcs, tmp)
+        inputs = list(dict.fromkeys([*inputs, *generated, *(Path(a).resolve() for a in argv[1:])]))
+        for path in inputs:
+            name = next((path.relative_to(d) for d in (tmp, ROOT) if d in path.parents), path)
+            for (fmt, *was), (_, *now) in zip(*(_seen(src, path) for src in srcs)):
+                if was != now:
+                    differ.append(f"{name} ({fmt}): exit {was[0]} -> {now[0]}")
+                    differ += [f"  {label} {_first_change(a, b)}" for label, a, b in
+                               (("stdout", was[1], now[1]), ("stderr", was[2], now[2])) if a != b]
+        print(f"{len(inputs)} inputs verified with {argv[0]} and with this checkout")
+    print("\n".join(differ) if differ else "every report, exit code and stderr is the same")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
