@@ -76,12 +76,17 @@ def _kl_rows(mass: np.ndarray, log_p: np.ndarray, log_q) -> list[float]:
     where ``q`` is null on an atom where ``p`` is not, or where the sum is past
     the largest float (NaN from :func:`_mean_rows`).  Such a sum is positive:
     no log atom is above about 745, so only a positive term can be that large.
+
+    The inputs are only read.  The kernel owns one matrix, of the broadcast
+    shape: it holds ``log p - log q``, and then, written by :func:`_mean_rows`,
+    the products with ``mass`` that :func:`_cascade` sums in its own workspace.
     """
+    shape = np.broadcast(mass, log_p, log_q).shape
     with np.errstate(invalid="ignore"):  # -inf - -inf on atoms of neither law, never summed
-        ratio = log_p - log_q
+        ratio = np.subtract(log_p, log_q, out=np.empty(shape))
     escaped = (ratio == math.inf).any(axis=-1).tolist()  # p has mass where q has none
     return [math.inf if e or math.isnan(s) else s
-            for s, e in zip(_mean_rows(ratio, mass), escaped, strict=True)]
+            for s, e in zip(_mean_rows(ratio, mass, work=ratio), escaped, strict=True)]
 
 
 def _entropy(p: Measure) -> float:

@@ -213,14 +213,15 @@ def _decompose(identity, h, rows, weights, lams, laws, messages):
     with ``weights``, or the error raised at that tilt.
 
     Each law holds a row per entry of ``rows`` or one for all; ``messages``
-    names the dominated laws.  The inputs are checked, and the direct value and the terms
-    that do not name ``gibbs`` summed, once, before the first tilt; ``h``'s rows are read by
-    :func:`_at`.  The law named by ``identity.reference`` is tilted only if a term names
-    ``gibbs``, so an identity that names none is one pass at all its tilts.
+    names the dominated laws.  The inputs are checked, every law's Y-support before any
+    continuity, and the direct value and the terms that do not name ``gibbs`` summed, once,
+    before the first tilt; ``h``'s rows are read by :func:`_at`.  The law named by
+    ``identity.reference`` is tilted only if a term names ``gibbs``, so an identity that names
+    none is one pass at all its tilts.
     """
     ref = laws[identity.reference]
+    _require_supports(h, laws)
     _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
-    h.require_matches(ref)
     h_rows = _at(h.values, rows)
     direct = _outcome(_direct, h_rows, laws["p1"], laws["p2"], weights)
     fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
@@ -259,6 +260,13 @@ def _tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
         ok = [j for j, k in enumerate(outcomes) if not isinstance(k, GibbsGapError)]
         if ok:
             yield [block[j] for j in ok], log_g if len(ok) == len(block) else log_g[ok]
+
+
+def _require_supports(h: CostTable, laws: dict) -> None:
+    """Raise :class:`~gibbsgap.errors.RepresentationMismatch` unless each law lives on ``h``'s
+    Y-support.  Checked before any continuity, which fails every row on unequal supports."""
+    for law in laws.values():
+        h.require_matches(law)
 
 
 def _require_continuity(rows, *checks, error=NotAbsolutelyContinuous) -> None:
@@ -463,6 +471,7 @@ def _marginal(h, cond, p_x, q, lams, identity=_MARGINAL) -> list:
     its own tilt."""
     live, weights, (members,) = _aligned(h, p_x, cond)
     laws = {"p2": members, "ref": _row(q)}
+    _require_supports(h, laws)
     _require_continuity(
         live, (laws["p2"], laws["ref"], "family member {k} is not absolutely continuous w.r.t. q")
     )
@@ -521,6 +530,8 @@ def _gibbs_marginal(h, q, lams, p_x) -> list:
 
 
 def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
+    """The gap of ``q``'s Gibbs family at ``lam``: its log atoms are the array the tilt built,
+    and its weights, derived once, the array their ``exp`` writes."""
     log_gibbs, k_vals = _gibbs_tilts(h.values, _row(q), [lam])
     _one_tilt(k_vals)
     log_gibbs.flags.writeable = False

@@ -185,7 +185,8 @@ def log_partition(h: CostTable, q: Measure, x_index: int, t: float) -> float:
 
 def _tilt_rows(h_rows: np.ndarray, log_ref, t: float, base_mass: float):
     """``t * h + log ref``, built in place in the one array ``t * h``, and the log-partition value
-    of each row, by one batched log-sum-exp; :func:`log_partition` is its one-row case."""
+    of each row, by one batched log-sum-exp, whose one temporary is the only other matrix
+    written; :func:`log_partition` is its one-row case."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing tilt is a legal +inf
         a = t * h_rows  # the broadcast shape, as log_ref has no more rows than h_rows
         a += log_ref
@@ -395,11 +396,8 @@ _STALL_AFTER = 64
 
 
 def _normalize_rows(log_p: np.ndarray) -> None:
-    """Subtract from each row of ``log_p``, in place, its log-sum-exp: the operations of
-    ``_logsumexp(log_p, axis=-1)``, without its checks and its ``errstate``."""
-    shift = log_p.max(axis=1, keepdims=True)
-    np.copyto(shift, 0.0, where=~np.isfinite(shift))
-    log_p -= np.log(np.exp(log_p - shift).sum(axis=1, keepdims=True)) + shift
+    """Subtract from each row of ``log_p``, in place, its :func:`_logsumexp`."""
+    log_p -= _logsumexp(log_p, axis=-1, keepdims=True)
 
 
 def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list:
@@ -415,8 +413,8 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     reported as that row's :class:`NonConvergence`, not warned.  A row whose
     step leaves its iterate unchanged, bit for bit, would repeat that state to
     its last step, so it ends at once with the :class:`NonConvergence` it would
-    reach there.  A step normalises by :func:`_normalize_rows`, ``_logsumexp``'s
-    operations inline, and the loop ends as soon as no row is left.  Returns,
+    reach there.  A step normalises by :func:`_normalize_rows`, and the loop ends
+    as soon as no row is left.  Returns,
     per check, per tilt, an :class:`_OracleRow` or the
     :class:`InfiniteLogPartition`, :class:`NonConvergence` or
     :class:`NonFiniteValue` (an ``E_P[h]`` past the largest float) raised there.

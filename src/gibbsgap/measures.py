@@ -86,17 +86,20 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def _logsumexp(a, axis=None):
-    """Max-shifted ``log sum(exp(a))`` over ``axis`` (every entry when None).
-
-    An all-``-inf`` slice gives ``-inf``, not NaN.
+def _logsumexp(a, axis=None, keepdims=False):
+    """Max-shifted ``log sum(exp(a))`` over ``axis`` (every entry when None), the reduced axes
+    kept with ``keepdims``.  The shift is each slice's maximum, 0 where that is not finite, so
+    an all-``-inf`` slice gives ``-inf``, not NaN.  ``a`` is only read: one temporary of its
+    shape holds ``a`` minus the shift, and then its ``exp``, in place.
     """
     a = np.asarray(a, dtype=float)
     shift = a.max(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
     # exp overflows only next to a +inf entry, and an empty sum is -inf: both legal
     with np.errstate(over="ignore", divide="ignore"):
-        return np.squeeze(np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift, axis=axis)
+        shifted = np.subtract(a, shift)
+        total = np.log(np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)) + shift
+    return total if keepdims else np.squeeze(total, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +185,26 @@ def _point_support(points) -> PointSupport:
 # measures
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, an array its caller has just made, set read-only in place rather than copied."""
+    a.flags.writeable = False
+    return a
+
+
 class _Atoms:
     """Two views of the atoms of a measure, or of each row of a family: weights
-    (``_density``) and log atoms.  One is kept as given, the other derived once."""
+    (``_density``) and log atoms.  One is kept as given, the other derived once, in
+    the one array the ``log`` or ``exp`` writes."""
 
     @cached_property
     def log_density(self) -> np.ndarray:
         """Log atoms: the log density of each atom, ``-inf`` on null atoms."""
         with np.errstate(divide="ignore"):
-            return _freeze(np.log(self._density))
+            return _read_only(np.log(self._density))
 
     @cached_property
     def _density(self) -> np.ndarray:
-        return _freeze(np.exp(self.log_density))
+        return _read_only(np.exp(self.log_density))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -289,8 +299,7 @@ def atom_masses(p: Measure) -> np.ndarray:
 def _atom_masses(density: np.ndarray, domain) -> np.ndarray:
     """The one rule for atom masses, read-only: ``density`` times the base mass of ``domain``."""
     masses = density if domain.base_mass == 1.0 else density * domain.base_mass  # x * 1.0 == x
-    masses.flags.writeable = False
-    return masses
+    return _read_only(masses)
 
 
 def total_mass(p: Measure) -> float:
@@ -306,14 +315,20 @@ def total_mass(p: Measure) -> float:
 _CASCADE_MIN = 4096
 
 
-def _two_sum(a, b):
-    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth), elementwise."""
-    s = a + b
-    bb = s - a
-    e = s - bb
+def _two_sum(a, b, e=None, s=None):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth), elementwise.
+
+    Only reads ``a`` and ``b``, and writes only ``e`` and ``s``, new arrays when None: ``e`` holds
+    ``s`` and then the error, ``s`` holds ``s - a`` and then ``b - (s - a)``, and ``s`` is
+    computed again at the end, so two buffers hold Knuth's three intermediates.
+    """
+    e = np.add(a, b, out=e)
+    s = np.subtract(e, a, out=s)
+    np.subtract(e, s, out=e)
     np.subtract(a, e, out=e)
-    e += np.subtract(b, bb, out=bb)
-    return s, e
+    np.subtract(b, s, out=s)
+    e += s
+    return np.add(a, b, out=s), e
 
 
 def _cascade(x: np.ndarray):
@@ -327,17 +342,24 @@ def _cascade(x: np.ndarray):
     bound, stays below half the gap from ``s`` to its neighbour on each side;
     a row with no error is exact.  A row with an entry of ``|x| >= 2**1022 / n``
     is not proven: the cascade or ``fsum`` may overflow there.
+
+    ``x`` is only read.  The cascade owns one matrix of workspace, ``x``'s
+    size less an odd column.  Each level of ``h`` pairs writes its errors and
+    then its sums as two contiguous ``(rows, h)`` blocks at the start of it,
+    and reads the sums of the level before, which lie past both: no operand of
+    a level shares memory with its output, so NumPy copies none.
     """
     n = x.shape[1]
     with np.errstate(all="ignore"):  # a non-finite row is never proven
         safe = max(x.max(), -x.min()) * n < 2.0**1022 or np.abs(x).max(axis=1) * n < 2.0**1022
         carry = t = a = np.zeros(len(x))  # the odd column of a level goes to carry
+        work = np.empty(len(x) * (n - n % 2))
         while x.shape[1] > 1:
             h = x.shape[1] // 2
             if x.shape[1] % 2:
                 carry, e = _two_sum(carry, x[:, 2 * h])
                 t, a = t + e, a + np.abs(e)
-            x, e = _two_sum(x[:, :h], x[:, h:2 * h])
+            x, e = _two_sum(x[:, :h], x[:, h:2 * h], *work[:2 * len(x) * h].reshape(2, len(x), h))
             t, a = t + e.sum(axis=1), a + np.abs(e, out=e).sum(axis=1)
         r, e = _two_sum(x[:, 0], carry)
         s, rest = _two_sum(r, t + e)
@@ -571,15 +593,26 @@ def expectation(f, p: Measure) -> float:
     return value
 
 
-def _mean_rows(f: np.ndarray, masses: np.ndarray) -> list[float]:
+def _mean_rows(f: np.ndarray, masses: np.ndarray, work: Optional[np.ndarray] = None) -> list[float]:
     """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass,
     as one row of products with +0.0 on the atoms of no mass.  With ``f`` finite there, a row's
     sum is not finite only where it is past the largest float: infinite where a product is (NaN
-    if two are, of opposite signs), NaN where only a partial sum is."""
-    shape = np.broadcast(f, masses).shape
-    live = np.greater(masses, 0.0, out=np.empty(shape, dtype=bool))
+    if two are, of opposite signs), NaN where only a partial sum is.
+
+    The products go into a new matrix, or into ``work``, a matrix of the broadcast shape that
+    the caller owns and hands over, ``f`` itself included: its entries of no mass are set to
+    +0.0 before any product is written.  Beyond that matrix, only a mask of ``masses``' shape
+    and :func:`_cascade`'s workspace are written; ``f`` and ``masses`` are otherwise only read.
+    """
+    live = masses > 0.0
+    if work is None:
+        work = np.zeros(np.broadcast(f, masses).shape)
+    else:
+        np.copyto(work, 0.0, where=~live)
     with np.errstate(over="ignore"):  # a product past the largest float is infinite
-        return _fsum_rows(np.multiply(f, masses, out=np.zeros(shape), where=live))
+        np.multiply(f, masses, out=work, where=live)
+    del live  # before the cascade's workspace is taken
+    return _fsum_rows(work)
 
 
 def _average(weights, rows) -> float:

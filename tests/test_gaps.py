@@ -520,6 +520,7 @@ def _contract_calls() -> dict:
     q, px = counting_measure(PTS), make_finite_measure(y_points(2), (0.5, 0.5))
     fam = constant_family(y_points(2), P_AT_0)
     h_elsewhere = CostTable.on_support([[5.0], [6.0]], PTS, [[0.0, 1.0], [1.0, 0.0]])
+    h_here = CostTable.on_support(y_points(2), PTS, [[0.0, 1.0], [1.0, 0.0]])
     half = make_finite_measure(PTS, (0.5, 0.0))  # mass 1/2
     other = counting_measure([[0.0], [2.0]])  # on another Y-support
     even = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
@@ -563,6 +564,14 @@ def _contract_calls() -> dict:
         "gibbs_marginal_gap, reference elsewhere": (
             lambda: gibbs_marginal_gap(H01, other, 1.0, make_finite_measure([[0.0]], (1.0,))),
             *foreign),
+        # a reference elsewhere is a mismatch, not the continuity failure that unequal
+        # supports would also be
+        "gap_closed_form, reference elsewhere": (
+            lambda: gap_closed_form(H01, 0, P_AT_0, P_AT_1, other, 1.0), *foreign),
+        "expected_gap_closed_form, reference elsewhere": (
+            lambda: expected_gap_closed_form(h_here, fam, fam, px, other, 1.0), *foreign),
+        "marginal_gap, reference elsewhere": (
+            lambda: marginal_gap(h_here, fam, px, other, 1.0), *foreign),
     }
 
 

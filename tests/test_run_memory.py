@@ -1,0 +1,146 @@
+"""The run phase of a loaded scenario: it reads the scenario's arrays in place, so it must
+leave them as they were, and the kernels write only into arrays of their own, so each op
+group's traced memory stays within a few matrices of the size of the cost table."""
+
+import json
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gibbsgap import scenario
+from gibbsgap.divergences import _kl_rows
+from gibbsgap.measures import _cascade, _logsumexp, _mean_rows
+from gibbsgap.scenario import load_scenario, run_scenario
+
+
+def _scenario_file(path, n_x, n_y, grid):
+    """A scenario given in numbers only, every point carrying X-mass, with the ten ops of
+    ``gibbsgap generate`` (the oracle on points only)."""
+    rng = random.Random(20250)
+
+    def row():
+        return [rng.uniform(0.05, 1.0) for _ in range(n_y)]
+
+    doc = {"schema": 1, "name": "run-memory"}
+    if grid:
+        doc["y_grid"] = {"lo": -3.0, "hi": 3.0, "n_cells": n_y}
+    else:
+        doc["y_support"] = [[float(j)] for j in range(n_y)]
+    pair = {"p1": "f1", "p2": "f2"}
+    ops = [{"op": "free_energy_identities", "x_index": 1}]
+    if not grid:
+        ops.append({"op": "variational_oracle", "x_index": 0})
+    ops += [
+        {"op": "gap_closed_form", "x_index": 0, **pair},
+        {"op": "gap_closed_form_relative", "x_index": 1, **pair, "direction": "P2-ref"},
+        {"op": "gap_closed_form_relative", "x_index": 0, **pair, "direction": "P1-ref"},
+        {"op": "gap_mixture_reference", "x_index": 1, **pair, "alpha": 0.25},
+        {"op": "expected_gap_closed_form", "family1": "f1", "family2": "f2"},
+        {"op": "expected_gap_relative", "family1": "f1", "family2": "f2"},
+        {"op": "marginal_gap", "family": "f1"},
+        {"op": "gibbs_marginal_gap"},
+    ]
+    doc.update({
+        "x_points": [[float(i)] for i in range(n_x)],
+        "cost": [[rng.uniform(-1.0, 1.0) for _ in range(n_y)] for _ in range(n_x)],
+        "reference": row(),
+        "lambdas": [1.0, -2.0],
+        "p_x": [rng.uniform(0.05, 1.0) for _ in range(n_x)],
+        "families": {"f1": [row() for _ in range(n_x)], "f2": [row() for _ in range(n_x)]},
+        "pairs": ops,
+    })
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _arrays(scn) -> dict:
+    """Copies of every array of ``scn`` that a run reads."""
+    arrays = {"cost": scn.cost.values, "p_x": scn.p_x.weights, "p_x log": scn.p_x.log_density,
+              "reference": scn.reference._density, "reference log": scn.reference.log_density}
+    for name, fam in scn.families.items():
+        arrays[f"{name} weights"] = fam._density
+        arrays[f"{name} log"] = fam.log_density
+    return {name: a.copy() for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("n_x, n_y, grid", [(16, 512, False), (4, 4096, True)])
+def test_a_run_leaves_the_scenario_arrays_as_they_were(tmp_path, n_x, n_y, grid):
+    # the averaged forms read the cost rows, the family matrices and their atom masses in
+    # place, and each call sums enough entries to take the cascade
+    scn = load_scenario(_scenario_file(tmp_path / "s.json", n_x, n_y, grid))
+    before = _arrays(scn)
+    report = run_scenario(scn)
+    assert report["summary"]["failed"] == 0
+    after = _arrays(scn)
+    assert {name: a.tobytes() for name, a in after.items()} == \
+        {name: a.tobytes() for name, a in before.items()}
+
+
+def test_each_op_group_of_a_run_stays_within_four_and_a_half_matrices(tmp_path, monkeypatch):
+    # A matrix is n_x * n_y floats.  The widest group, the Gibbs-family marginal gap, holds
+    # its family as log atoms and weights, a matrix of products or log ratios and the
+    # cascade's one matrix of workspace.  Kernels that allocated temporaries of their own
+    # beside those (a log-ratio matrix and a product matrix, a shifted matrix and its exp,
+    # three half matrices per cascade level) took it past 6.
+    n_x = n_y = 256
+    scn = load_scenario(_scenario_file(tmp_path / "s.json", n_x, n_y, grid=False))
+    run_scenario(scn)  # derives the families' log atoms, once
+    peaks = {}
+
+    def traced(name, run):
+        def op(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = run(*args)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (n_x * n_y * 8)
+            return out
+        return op
+
+    for name, op in scenario._OPS.items():
+        monkeypatch.setitem(scenario._OPS, name, op._replace(run=traced(name, op.run)))
+    tracemalloc.start()
+    try:
+        run_scenario(scn)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 9
+    assert max(peaks.values()) <= 4.5, {name: round(p, 2) for name, p in peaks.items()}
+
+
+# ---------------------------------------------------------------------------
+# the kernels alone, on read-only inputs: a write into one would raise
+
+
+def _traced(call) -> int:
+    """The traced peak of ``call()`` above its start, in bytes, after a warm call."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def test_each_kernel_writes_only_the_matrices_it_owns():
+    # 64 x 4097 floats, 2 MB: NumPy's fixed iteration buffers (64 KB per strided operand)
+    # stay within the 0.1 of slack; an odd width gives the cascade a carry column
+    rng = np.random.default_rng(8)
+    shape = (64, 4097)
+    x, log_p, log_q = _read_only(rng.standard_normal(shape), np.log(rng.uniform(0.1, 1.0, shape)),
+                                 np.log(rng.uniform(0.1, 1.0, shape)))
+    (mass,) = _read_only(np.exp(log_p))
+    size = x.nbytes
+    assert _traced(lambda: _cascade(x)) <= 1.1 * size  # its workspace
+    assert _traced(lambda: _logsumexp(x, axis=-1)) <= 1.1 * size  # its one temporary
+    assert _traced(lambda: _mean_rows(x, mass)) <= 2.1 * size  # products, cascade
+    assert _traced(lambda: _kl_rows(mass, log_p, log_q)) <= 2.1 * size  # ratios, cascade
