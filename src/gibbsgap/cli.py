@@ -10,7 +10,8 @@ Two subcommands:
 
 ``gibbsgap generate --seed N --nx N --ny N --count N --out DIR``
     Write ``count`` random scenario files.  Output is a pure function of
-    the arguments: the same seed reproduces the same bytes.
+    the arguments: the same seed reproduces the same bytes.  Exit code 2
+    when the arguments are invalid or ``DIR`` cannot be written.
 
 No network access, no environment variables: exit codes and stdout/stderr
 are the only side channels.  A stdout closed early ends a command with exit
@@ -93,6 +94,9 @@ def _run(args) -> int:
             paths = generate_scenarios(args.seed, args.nx, args.ny, args.count, args.out)
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
+            return 2
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return 2
         for p in paths:
             print(p)

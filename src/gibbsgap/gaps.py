@@ -37,9 +37,14 @@ checked, and the direct value and the terms that do not name the Gibbs
 measure are summed, once, before the first tilt; the Gibbs terms are
 summed at each tilt.  A single conditioning point is the one-row case, and
 its tilts are stacked as the rows of one sum; the averaged and marginal
-forms are ``p_x``-weighted compensated sums of the per-row values, tilted
-one tilt at a time.  Each public function checks its tilt and is the
-one-tilt case of its kernel.
+forms are ``p_x``-weighted compensated sums of the per-row values over the
+points carrying X-mass, tilted one tilt at a time.  The kernel loops over
+these tilt blocks itself: it tilts a block, sums each Gibbs term over every
+row of it, reads each tilt's rows and error as every ``len(block)``-th row,
+and frees the block before it tilts the next.  The Gibbs-family marginal
+tilts only the rows carrying X-mass to build its family, as the other
+averaged forms tilt only those.  Each public function checks its tilt and
+is the one-tilt case of its kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
 checked up front and violations raise, rather than producing ``inf - inf``,
@@ -72,14 +77,14 @@ from .measures import (
     FiniteMeasure,
     Measure,
     _at,
+    _atom_masses,
     _average,
     _escapes,
-    _family,
     _live_rows,
     _mean_rows,
+    _mixture,
     _row,
     _Rows,
-    marginal_y,
     mix,
     require_same_representation,
 )
@@ -176,7 +181,7 @@ _MARGINAL = _Identity(
     },
     lambda t: t["mutual"] + t["lautum"] + t["cross_marginal"] - t["cross_conditional"],
     "explicit",
-    dominated=(),  # its hypotheses need the marginal: _marginal checks them
+    dominated=(),  # its hypotheses need the marginal: _marginal_rows checks them
 )
 # the Gibbs family is its own tilt: the cross terms are log 1 at every atom
 _GIBBS_MARGINAL = _MARGINAL._replace(
@@ -218,6 +223,13 @@ def _decompose(identity, h, rows, weights, lams, laws, messages):
     before the first tilt; ``h``'s rows are read by :func:`_at`.  The law named by
     ``identity.reference`` is tilted only if a term names ``gibbs``, so an identity that names
     none is one pass at all its tilts.
+
+    The tilts come in blocks: a single row at all its tilts in one block, the tilts stacked as
+    rows; more rows one tilt per block, so that only one tilt's rows are held at once.  Each
+    Gibbs term is summed over every row of a block, a row whose tilt raised included, whose
+    sums are dropped; tilt ``j`` of a block is its every ``len(block)``-th row from ``j``, and
+    its error that of its first row that raised.  The block's log atoms are freed before the
+    next block is tilted.
     """
     ref = laws[identity.reference]
     _require_supports(h, laws)
@@ -227,39 +239,25 @@ def _decompose(identity, h, rows, weights, lams, laws, messages):
     fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
              for name, (a, b, c) in identity.terms.items() if "gibbs" not in (b, c)}
     tilting = len(fixed) < len(identity.terms)
-    out: list = [None] * len(lams)
-    for tilts, log_g in _tilts(h_rows, ref, lams) if tilting else [(range(len(lams)), None)]:
-        if isinstance(log_g, GibbsGapError):
-            out[tilts[0]] = log_g
-            continue
-        tilted = {**laws, "gibbs": _Rows(None, log_g, None)}
-        sums = {name: _kl_rows(tilted[a].mass, tilted[b].log, tilted[c].log)
-                for name, (a, b, c) in identity.terms.items() if name not in fixed}
-        n = len(rows)  # the rows of each tilt
-        for j, t in enumerate(tilts):
+    out: list = []
+    for block in [range(len(lams))] if len(rows) == 1 else [[t] for t in range(len(lams))]:
+        if tilting:
+            log_g, k_vals = _gibbs_tilts(h_rows, ref, [lams[t] for t in block])
+            tilted = {**laws, "gibbs": _Rows(None, log_g, None)}
+            sums = {name: _kl_rows(tilted[a].mass, tilted[b].log, tilted[c].log)
+                    for name, (a, b, c) in identity.terms.items() if name not in fixed}
+            del log_g, tilted  # before the next block is tilted
+        for j, t in enumerate(block):
+            tilt = _outcome(_one_tilt, k_vals[j::len(block)]) if tilting else None
+            failed = [e for e in (tilt, direct) if isinstance(e, GibbsGapError)]
+            if failed:
+                out.append(failed[0])
+                continue
             terms = {name: fixed[name] if name in fixed else
-                     _average(weights, sums[name][j * n:j * n + n]) for name in identity.terms}
-            if isinstance(direct, GibbsGapError):
-                out[t] = direct
-            else:
-                closed_form = identity.lam_gap(terms) / lams[t]
-                out[t] = _outcome(GapDecomposition, direct, closed_form, terms, lams[t], identity.tag)
+                     _average(weights, sums[name][j::len(block)]) for name in identity.terms}
+            closed_form = identity.lam_gap(terms) / lams[t]
+            out.append(_outcome(GapDecomposition, direct, closed_form, terms, lams[t], identity.tag))
     return out
-
-
-def _tilts(h_rows: np.ndarray, ref: _Rows, lams: list):
-    """The tilts of ``ref`` at ``lams`` by :func:`~gibbsgap.gibbs._gibbs_tilts`, as blocks
-    ``(tilts, log atoms)`` with one row per tilt and conditioning point, or ``([tilt], error)``
-    where a tilt raises, the error of its first row that raises.  A single row is tilted at all
-    its tilts at once, the tilts stacked as rows; more rows one tilt at a time, so that only
-    one tilt's rows are held at once."""
-    for block in [range(len(lams))] if len(h_rows) == 1 else [[t] for t in range(len(lams))]:
-        log_g, k_vals = _gibbs_tilts(h_rows, ref, [lams[t] for t in block])
-        outcomes = [_outcome(_one_tilt, k_vals[j::len(block)]) for j in range(len(block))]
-        yield from (([t], k) for t, k in zip(block, outcomes) if isinstance(k, GibbsGapError))
-        ok = [j for j, k in enumerate(outcomes) if not isinstance(k, GibbsGapError)]
-        if ok:
-            yield [block[j] for j in ok], log_g if len(ok) == len(block) else log_g[ok]
 
 
 def _require_supports(h: CostTable, laws: dict) -> None:
@@ -465,17 +463,25 @@ def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
 # marginal vs conditional
 
 
-def _marginal(h, cond, p_x, q, lams, identity=_MARGINAL) -> list:
-    """:func:`marginal_gap` at every tilt of ``lams`` by ``identity``: ``_MARGINAL`` tilts ``q``,
-    and ``_GIBBS_MARGINAL`` reads ``cond``, ``q``'s Gibbs family at the one tilt of ``lams``, as
-    its own tilt."""
+def _marginal(h, cond, p_x, q, lams) -> list:
+    """:func:`marginal_gap` at every tilt of ``lams``: ``cond``'s rows at the points carrying
+    X-mass, by ``_MARGINAL``, which tilts ``q``."""
     live, weights, (members,) = _aligned(h, p_x, cond)
+    return _marginal_rows(h, live, weights, members, p_x, q, lams, _MARGINAL)
+
+
+def _marginal_rows(h, live, weights, members, p_x, q, lams, identity) -> list:
+    """The marginal gap by ``identity`` of the family rows ``members`` at the points ``live`` of
+    ``p_x``, which weighs them by ``weights``; the Y-marginal mixes those rows alone."""
     laws = {"p2": members, "ref": _row(q)}
     _require_supports(h, laws)
     _require_continuity(
         live, (laws["p2"], laws["ref"], "family member {k} is not absolutely continuous w.r.t. q")
     )
-    laws["p1"] = _row(marginal_y(cond, p_x))  # dominates every member it mixes in
+    if not p_x.is_probability:
+        raise NonProbabilityMeasure("the X-marginal must be a probability measure")
+    # dominates every member it mixes in
+    laws["p1"] = _row(_mixture(members.domain, members.log, _at(p_x.log_density, live)))
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
     _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
     return _decompose(identity, h, live, weights, lams, laws, [])
@@ -521,8 +527,8 @@ def gibbs_marginal_gap(
 
 def _gibbs_marginal(h, q, lams, p_x) -> list:
     """:func:`gibbs_marginal_gap` at every tilt of ``lams``: the family is the tilt, so each tilt
-    builds its family and is its own :func:`_marginal` by ``_GIBBS_MARGINAL``, which tilts no
-    further."""
+    tilts the rows carrying X-mass and is their own :func:`_marginal_rows` by
+    ``_GIBBS_MARGINAL``, which tilts no further."""
     if h.x_points != p_x.domain:
         raise IndexMismatch("p_x must live on the cost table's conditioning points")
     h.require_matches(q)
@@ -530,10 +536,11 @@ def _gibbs_marginal(h, q, lams, p_x) -> list:
 
 
 def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
-    """The gap of ``q``'s Gibbs family at ``lam``: its log atoms are the array the tilt built,
-    and its weights, derived once, the array their ``exp`` writes."""
-    log_gibbs, k_vals = _gibbs_tilts(h.values, _row(q), [lam])
+    """The gap of ``q``'s Gibbs family at ``lam`` at the points carrying X-mass, the cost rows
+    there read in place if every point does: its rows are the log atoms the tilt built, and
+    their masses are derived from the one array their ``exp`` writes."""
+    live, weights, _ = _live_rows(p_x)
+    log_gibbs, k_vals = _gibbs_tilts(_at(h.values, live), _row(q), [lam])
     _one_tilt(k_vals)
-    log_gibbs.flags.writeable = False
-    family = _family(h.x_points, q.domain, log_density=log_gibbs)
-    return _one_tilt(_marginal(h, family, p_x, q, [lam], _GIBBS_MARGINAL))
+    members = _Rows(q.domain, log_gibbs, _atom_masses(np.exp(log_gibbs), q.domain))
+    return _one_tilt(_marginal_rows(h, live, weights, members, p_x, q, [lam], _GIBBS_MARGINAL))

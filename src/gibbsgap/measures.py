@@ -661,8 +661,15 @@ def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
     if not p_x.is_probability:
         raise NonProbabilityMeasure("the X-marginal must be a probability measure")
     require_aligned(p_x, cond)
-    mixed = _logsumexp(cond.log_density + p_x.log_density[:, None], axis=0)
-    return _derived(cond.domain, True, log_density=_freeze(mixed))
+    return _mixture(cond.domain, cond.log_density, p_x.log_density)
+
+
+def _mixture(domain, log_rows: np.ndarray, log_w: np.ndarray) -> Measure:
+    """The probability ``sum_k exp(log_w[k]) * rows[k]`` on ``domain``, from the log atoms of its
+    rows: a row of weight 0 adds nothing, bit for bit, so only the rows of positive weight may
+    be given."""
+    mixed = _logsumexp(log_rows + log_w[:, None], axis=0)
+    return _derived(domain, True, log_density=_freeze(mixed))
 
 
 def mix(p: Measure, q: Measure, alpha: float) -> Measure:

@@ -439,7 +439,7 @@ def test_batched_hypothesis_checks_name_the_first_failing_member():
 
 
 def test_a_row_without_x_mass_is_never_tilted():
-    # lam * h overflows on row 1 only; row 1 carries no X-mass, so neither form tilts it
+    # lam * h overflows on row 1 only; row 1 carries no X-mass, so no form tilts it
     h = CostTable.on_support(y_points(2), PTS, [[0.0, 0.5], [-1e10, 0.0]])
     p = make_finite_measure(PTS, (0.5, 0.5))
     cond = constant_family(y_points(2), p)
@@ -448,6 +448,8 @@ def test_a_row_without_x_mass_is_never_tilted():
     averaged = expected_gap_closed_form(h, cond, cond, p_x, q, lam)
     assert averaged.direct == 0.0
     dec = marginal_gap(h, cond, p_x, q, lam)
+    assert (dec.direct, dec.terms["mutual"], dec.terms["lautum"]) == (0.0, 0.0, 0.0)
+    dec = gibbs_marginal_gap(h, q, lam, p_x)  # its family is tilted at row 0 alone
     assert (dec.direct, dec.terms["mutual"], dec.terms["lautum"]) == (0.0, 0.0, 0.0)
 
 

@@ -1,0 +1,149 @@
+"""Metamorphic relations of the gap identities: changes of the input whose effect on every
+value is known in exact arithmetic (Chen, Cheung and Yiu 1998).  The values compared must
+agree within 64 u, u = 2**-53, times the sum of the magnitudes of the records compared, or
+times 1 if that is less: the costs and log atoms the records sum are of order 1, so a record
+near 0, a difference of such sums, carries their rounding.
+
+* Swapping P1 and P2 negates every single-point gap.
+* A grid scenario equals its point twin: the same costs on the cell midpoints, with the
+  reference and family rows multiplied by the cell width, so that every atom keeps its mass.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gibbsgap import (
+    CostTable,
+    gap_closed_form,
+    gap_closed_form_relative,
+    gap_mixture_reference,
+    make_finite_measure,
+    run_scenario,
+)
+from gibbsgap.scenario import _build_scenario
+
+U = 2.0**-53
+
+
+def _magnitude(rec: dict) -> float:
+    """The sum of the magnitudes of a record's numbers."""
+    return abs(rec["direct"]) + abs(rec["closed_form"]) + sum(map(abs, rec["terms"].values()))
+
+
+def _bound(a: dict, b: dict) -> float:
+    return 64 * U * max(1.0, _magnitude(a) + _magnitude(b))
+
+
+def _record(dec) -> dict:
+    return {"direct": dec.direct, "closed_form": dec.closed_form, "terms": dec.terms}
+
+
+def _lam(draw):
+    """A moderate tilt of either sign."""
+    return draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.25, 4.0))
+
+
+# ---------------------------------------------------------------------------
+# swapping P1 and P2
+
+
+@st.composite
+def point_gaps(draw):
+    """A cost table on at most 4 x 12 points, a row of it, two laws, a reference and a tilt."""
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = [[float(j)] for j in range(n_y)]
+    h = CostTable.on_support([[float(k)] for k in range(n_x)], pts,
+                             rng.uniform(-2.0, 2.0, size=(n_x, n_y)))
+    p1, p2 = (make_finite_measure(pts, rng.uniform(0.05, 1.0, n_y), normalize=True)
+              for _ in range(2))
+    q = make_finite_measure(pts, rng.uniform(0.2, 5.0, n_y))
+    return h, draw(st.integers(0, n_x - 1)), p1, p2, q, _lam(draw), draw(st.floats(0.05, 0.95))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_gaps())
+def test_swapping_the_two_laws_negates_every_single_point_gap(case):
+    h, x, p1, p2, q, lam, alpha = case
+    pairs = {
+        "common": (gap_closed_form(h, x, p1, p2, q, lam), gap_closed_form(h, x, p2, p1, q, lam)),
+        "relative": (gap_closed_form_relative(h, x, p1, p2, "P2-ref", lam),
+                     gap_closed_form_relative(h, x, p2, p1, "P1-ref", lam)),
+        "mixture": (gap_mixture_reference(h, x, p1, p2, alpha, lam),
+                    gap_mixture_reference(h, x, p2, p1, 1.0 - alpha, lam)),
+    }
+    for name, (a, b) in pairs.items():
+        assert b.direct == -a.direct, name  # the direct gap is exactly antisymmetric
+        bound = _bound(_record(a), _record(b))
+        assert abs(a.closed_form + b.closed_form) <= bound, (name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the grid and its point twin
+
+_PAIR = {"p1": "f1", "p2": "f2"}
+_OPS = [
+    {"op": "free_energy_identities", "x_index": 0},
+    {"op": "gap_closed_form", "x_index": 0, **_PAIR},
+    {"op": "gap_closed_form_relative", "x_index": 0, **_PAIR, "direction": "P2-ref"},
+    {"op": "gap_closed_form_relative", "x_index": 0, **_PAIR, "direction": "P1-ref"},
+    {"op": "gap_mixture_reference", "x_index": 0, **_PAIR, "alpha": 0.25},
+    {"op": "expected_gap_closed_form", "family1": "f1", "family2": "f2"},
+    {"op": "expected_gap_relative", "family1": "f1", "family2": "f2"},
+    {"op": "marginal_gap", "family": "f1"},
+    {"op": "gibbs_marginal_gap"},
+]
+
+
+@st.composite
+def grid_docs(draw):
+    """A grid scenario of at most 4 x 12 cells whose cell width is far from 1, with every op
+    but the oracle, which works on finite supports only."""
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([draw(st.floats(0.1, 0.5)), draw(st.floats(2.0, 8.0))]))
+    lo = draw(st.floats(-3.0, 3.0))
+    reference = rng.uniform(0.2, 5.0, n_y)
+    if draw(st.booleans()):  # a probability reference: the reference side is evaluated
+        reference /= reference.sum() * width
+    return {
+        "schema": 1, "name": "twin", "y_grid": {"lo": lo, "hi": lo + width * n_y, "n_cells": n_y},
+        "x_points": [[float(k)] for k in range(n_x)],
+        "cost": rng.uniform(-2.0, 2.0, size=(n_x, n_y)).tolist(),
+        "reference": reference.tolist(),
+        "lambdas": [_lam(draw), _lam(draw)],
+        "p_x": rng.uniform(0.05, 1.0, n_x).tolist(),
+        "families": {f: rng.uniform(0.05, 1.0, size=(n_x, n_y)).tolist() for f in ("f1", "f2")},
+        "pairs": [dict(op, x_index=min(op["x_index"], n_x - 1)) if "x_index" in op else op
+                  for op in _OPS],
+    }
+
+
+def _point_twin(doc: dict) -> dict:
+    """``doc`` on the midpoints of its cells, its reference and family rows times their width."""
+    grid = _build_scenario(doc).cost.y_support
+    width = grid.cell_width
+    return {
+        **{k: v for k, v in doc.items() if k != "y_grid"},
+        "y_support": grid.points.tolist(),
+        "reference": [v * width for v in doc["reference"]],
+        "families": {f: [[v * width for v in row] for row in rows]
+                     for f, rows in doc["families"].items()},
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=grid_docs())
+def test_a_grid_scenario_equals_its_point_twin(doc):
+    grid, points = (run_scenario(_build_scenario(d))["records"] for d in (doc, _point_twin(doc)))
+    assert len(grid) == len(points) == len(_OPS) * 2
+    for a, b in zip(grid, points):
+        assert (a["check"], a["lambda"], a["error"], b["error"]) == \
+            (b["check"], b["lambda"], None, None)
+        assert a["terms"].keys() == b["terms"].keys()
+        bound = _bound(a, b)
+        for field in ("direct", "closed_form"):
+            assert abs(a[field] - b[field]) <= bound, (a, b)
+        for name, value in a["terms"].items():
+            assert abs(value - b["terms"][name]) <= bound, (name, a, b)

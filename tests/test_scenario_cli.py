@@ -611,6 +611,17 @@ def test_cli_generate_writes_and_reports_paths(tmp_path):
     assert all(Path(line).exists() for line in lines)
 
 
+def test_generate_into_a_path_it_cannot_write_exits_2_with_one_line(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out_dir in (taken, taken / "below"):  # a file, and a directory under a file
+        code, out, err = _cli(
+            "generate", "--seed", 1, "--nx", 2, "--ny", 2, "--count", 1, "--out", out_dir
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_dir}: ") and err.count("\n") == 1
+
+
 def test_main_is_callable_in_process(capsys):
     assert main(["verify", str(TWO_POINT)]) == 0
     out = capsys.readouterr().out
