@@ -39,7 +39,6 @@ table, discrepancy, tolerance and status.  All numbers are serialized with
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
@@ -67,10 +66,10 @@ from .gibbs import MIN_ABS_LAMBDA, CostTable, _free_energy_rows, _oracle_rows
 from .measures import (
     ConditionalFamily,
     FiniteMeasure,
+    GridSupport,
     Measure,
+    _built,
     _probability_family,
-    make_finite_measure,
-    make_grid_density,
 )
 
 __all__ = [
@@ -107,7 +106,11 @@ class Check:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully constructed scenario, ready to run."""
+    """A fully constructed scenario, ready to run.
+
+    Every measure lives on the cost table's support objects: the reference and each
+    family on ``cost.y_support``, ``p_x`` and each family's points on ``cost.x_points``.
+    """
 
     name: str
     cost: CostTable
@@ -116,7 +119,8 @@ class Scenario:
     p_x: FiniteMeasure
     families: dict[str, ConditionalFamily]
     checks: tuple[Check, ...]
-    is_grid: bool
+
+    is_grid = property(lambda self: isinstance(self.cost.y_support, GridSupport))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +161,14 @@ def _num_list(values, where: str) -> np.ndarray:
 
 
 def _num_matrix(values, where: str) -> list[np.ndarray]:
+    """A non-empty list of rows of numbers, each as a float array, all as long as row 0."""
     if not isinstance(values, list) or not values:
         raise ScenarioError(f"{where}: expected a non-empty list of rows")
-    return [_num_list(row, f"{where}[{i}]") for i, row in enumerate(values)]
+    rows = [_num_list(row, f"{where}[{i}]") for i, row in enumerate(values)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ScenarioError(f"{where}[{i}]: {len(row)} values, but {where}[0] has {len(rows[0])}")
+    return rows
 
 
 def _points(values, where: str) -> list:
@@ -266,6 +275,15 @@ def load_scenario(path) -> Scenario:
 
 
 def _build_scenario(doc: dict) -> Scenario:
+    """The scenario of a parsed document, validated field by field.
+
+    The Y-support is built once, a :class:`GridSupport` from ``y_grid`` or the points of
+    ``y_support``, and the cost table takes it over; every measure is then built on the
+    table's support objects, and the representation is read from ``cost.y_support``.  Fields
+    are checked in a fixed order, so a document with one fault always gets the same message:
+    ``x_points`` and ``cost`` are parsed first, a grid is validated before the cost table,
+    and points are validated inside it, after the X-points.
+    """
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario needs a non-empty string 'name'")
@@ -277,38 +295,31 @@ def _build_scenario(doc: dict) -> Scenario:
     x_points = _points(doc["x_points"], "x_points")
     cost_rows = _num_matrix(doc["cost"], "cost")
 
-    is_grid = "y_grid" in doc
-    if not is_grid:
-        y_support = _points(doc["y_support"], "y_support")
-        n_y = len(y_support)
-        unit = "weights for {} support points"
-        cost = CostTable.on_support(x_points, y_support, cost_rows)
-        build = functools.partial(make_finite_measure, cost.y_support)
-    else:
+    if "y_grid" in doc:
         g = doc["y_grid"]
         if not isinstance(g, dict):
             raise ScenarioError("'y_grid' must be an object with lo/hi/n_cells")
-        lo = _num(g.get("lo"), "y_grid.lo")
-        hi = _num(g.get("hi"), "y_grid.hi")
-        n_y = _int_in(g.get("n_cells"), "y_grid.n_cells", 1)
-        unit = "values for {} cells"
-        cost = CostTable.on_grid(x_points, lo, hi, n_y, cost_rows)
-        build = functools.partial(make_grid_density, lo, hi)
+        y_support = GridSupport(_num(g.get("lo"), "y_grid.lo"), _num(g.get("hi"), "y_grid.hi"),
+                                _int_in(g.get("n_cells"), "y_grid.n_cells", 1))
+    else:
+        y_support = _points(doc["y_support"], "y_support")
+    cost = CostTable(x_points=x_points, values=cost_rows, y_support=y_support)
+    n_y, on_grid = cost.y_support.n_atoms, isinstance(cost.y_support, GridSupport)
+    unit = f"values for {n_y} cells" if on_grid else f"weights for {n_y} support points"
 
     def vector(raw, where: str) -> np.ndarray:
         vals = _num_list(raw, where)
         if len(vals) != n_y:
-            raise ScenarioError(f"{where}: {len(vals)} {unit.format(n_y)}")
+            raise ScenarioError(f"{where}: {len(vals)} {unit}")
         return vals
 
-    # "counting" on a support and "lebesgue" on a grid: unit mass per atom
     raw_ref = doc["reference"]
-    if raw_ref == ("lebesgue" if is_grid else "counting"):
-        reference = build(np.ones(n_y))
+    if raw_ref == ("lebesgue" if on_grid else "counting"):  # unit mass per atom
+        reference = _built(cost.y_support, np.ones(n_y), None)
     elif raw_ref in ("counting", "lebesgue"):
         raise ScenarioError(f"a {raw_ref!r} reference does not fit this Y-representation")
     else:
-        reference = build(vector(raw_ref, "reference"), normalize=False)
+        reference = _built(cost.y_support, vector(raw_ref, "reference"), None)
 
     lambdas = tuple(_num_list(doc.get("lambdas"), "lambdas").tolist())
     for i, lam in enumerate(lambdas):
@@ -319,7 +330,7 @@ def _build_scenario(doc: dict) -> Scenario:
     p_x_vals = _num_list(doc.get("p_x"), "p_x")
     if len(p_x_vals) != len(x_points):
         raise ScenarioError(f"p_x: {len(p_x_vals)} weights for {len(x_points)} x points")
-    p_x = make_finite_measure(cost.x_points, p_x_vals, normalize=True)
+    p_x = _built(cost.x_points, p_x_vals, None, normalize=True)
 
     families_doc = doc.get("families", {})
     if not isinstance(families_doc, dict):
@@ -336,7 +347,7 @@ def _build_scenario(doc: dict) -> Scenario:
             families[fam_name] = _probability_family(cost.x_points, cost.y_support, matrix)
         except GibbsGapError:
             for k, row in enumerate(rows):  # the first faulty row raises what it raises alone
-                build(vector(row, f"{where}[{k}]"), normalize=True)
+                _built(cost.y_support, vector(row, f"{where}[{k}]"), None, normalize=True)
             raise
 
     checks_doc = doc.get("pairs")
@@ -354,7 +365,6 @@ def _build_scenario(doc: dict) -> Scenario:
         p_x=p_x,
         families=families,
         checks=checks,
-        is_grid=is_grid,
     )
 
 

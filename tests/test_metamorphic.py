@@ -7,7 +7,13 @@ near 0, a difference of such sums, carries their rounding.
 * Swapping P1 and P2 negates every single-point gap.
 * A grid scenario equals its point twin: the same costs on the cell midpoints, with the
   reference and family rows multiplied by the cell width, so that every atom keeps its mass.
+* Scaling the reference, ``Q -> c Q``, leaves every gap unchanged and shifts ``log Z`` by
+  ``log c``, and so the free energy by ``-log c / lam``.
+* Translating each cost row, ``h -> h + a(x)``, leaves every gap and every Gibbs tilt
+  unchanged and shifts ``log Z`` by ``-lam a(x)``, and so the free energy by ``a(x)``.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,9 +21,11 @@ from hypothesis import strategies as st
 
 from gibbsgap import (
     CostTable,
+    atom_masses,
     gap_closed_form,
     gap_closed_form_relative,
     gap_mixture_reference,
+    gibbs_tilt,
     make_finite_measure,
     run_scenario,
 )
@@ -147,3 +155,57 @@ def test_a_grid_scenario_equals_its_point_twin(doc):
             assert abs(a[field] - b[field]) <= bound, (a, b)
         for name, value in a["terms"].items():
             assert abs(value - b["terms"][name]) <= bound, (name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# scaling the reference and translating the cost rows
+
+
+@st.composite
+def docs(draw):
+    """A scenario of :func:`grid_docs`, on its grid or on the points of its twin."""
+    doc = draw(grid_docs())
+    return _point_twin(doc) if draw(st.booleans()) else doc
+
+
+def _shifted(before: list, after: list, log_z_shift, free_energy_shift) -> None:
+    """Each record of ``after`` matches its record of ``before``: a gap's values are unchanged,
+    a free-energy record's are shifted by ``free_energy_shift(record)`` and its ``log Z`` by
+    ``log_z_shift(record)``."""
+    assert len(before) == len(after) == len(_OPS) * 2
+    for a, b in zip(before, after):
+        assert (a["check"], a["lambda"], a["error"], b["error"]) == \
+            (b["check"], b["lambda"], None, None)
+        bound, shift = _bound(a, b), 0.0
+        if a["identity"] == "free-energy":
+            shift = free_energy_shift(a)
+            moved = b["terms"]["log_partition"] - (a["terms"]["log_partition"] + log_z_shift(a))
+            assert abs(moved) <= bound, (a, b)
+        for field in ("direct", "closed_form"):
+            assert abs(b[field] - (a[field] + shift)) <= bound, (field, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=docs(), c=st.sampled_from([1e-3, 1e3]))
+def test_scaling_the_reference_leaves_every_gap_and_shifts_log_z_by_log_c(doc, c):
+    scaled = {**doc, "reference": [v * c for v in doc["reference"]]}
+    before, after = (run_scenario(_build_scenario(d))["records"] for d in (doc, scaled))
+    _shifted(before, after, lambda rec: math.log(c), lambda rec: -math.log(c) / rec["lambda"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=docs(), data=st.data())
+def test_translating_the_cost_rows_leaves_every_gap_and_tilt_and_shifts_log_z(doc, data):
+    a = [data.draw(st.floats(-3.0, 3.0)) for _ in doc["cost"]]
+    moved = {**doc, "cost": [[v + a_k for v in row] for row, a_k in zip(doc["cost"], a)]}
+    scns = [_build_scenario(d) for d in (doc, moved)]
+    before, after = (run_scenario(scn)["records"] for scn in scns)
+    # every free-energy check of _OPS is at x_index 0
+    _shifted(before, after, lambda rec: -rec["lambda"] * a[0], lambda rec: a[0])
+    for x, a_x in enumerate(a):
+        for lam in doc["lambdas"]:
+            g, g_moved = (gibbs_tilt(scn.cost, scn.reference, lam, x) for scn in scns)
+            assert abs(g_moved.log_partition - (g.log_partition - lam * a_x)) <= \
+                64 * U * max(1.0, abs(g.log_partition) + abs(g_moved.log_partition)), (x, lam)
+            w, w_moved = atom_masses(g.measure), atom_masses(g_moved.measure)
+            assert np.abs(w_moved - w).max() <= 64 * U * (w.sum() + w_moved.sum()), (x, lam)

@@ -723,8 +723,11 @@ def test_a_grid_row_rescaled_past_the_largest_float_exits_2_with_one_line(tmp_pa
          "a 'lebesgue' reference does not fit this Y-representation"),
         (lambda d: d.pop("pairs"), "scenario needs a non-empty 'pairs' list of checks"),
         (lambda d: d["pairs"].insert(0, ["gap_closed_form"]), "pairs[0]: each check must be an object"),
+        (lambda d: d.update(x_points=[0, 1], cost=[[0, 1], [1]]),
+         "cost[1]: 1 values, but cost[0] has 2"),
     ],
-    ids=["y_grid-not-an-object", "lebesgue-on-points", "no-pairs", "check-not-an-object"],
+    ids=["y_grid-not-an-object", "lebesgue-on-points", "no-pairs", "check-not-an-object",
+         "ragged-cost"],
 )
 def test_a_loader_exit_names_its_fault(tmp_path, mutate, message):
     doc = json.loads(TWO_POINT.read_text())
@@ -735,6 +738,27 @@ def test_a_loader_exit_names_its_fault(tmp_path, mutate, message):
         load_scenario(path)
     assert str(e.value) == message
     assert _cli("verify", path) == (2, "", f"error: {message}\n")
+
+
+def test_cost_rows_of_one_wrong_width_name_the_columns_and_the_y_atoms(tmp_path):
+    doc = json.loads(TWO_POINT.read_text())
+    doc.update(x_points=[0, 1], cost=[[0, 1, 2], [1, 2, 3]])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert _cli("verify", path) == (
+        2, "", f"error: {path}: IndexMismatch: 3 cost columns for 2 Y atoms\n")
+
+
+@pytest.mark.parametrize("path", [TWO_POINT, DATA / "multi_grid.json"], ids=["points", "grid"])
+def test_every_measure_of_a_loaded_scenario_lives_on_the_cost_tables_supports(path):
+    scn = load_scenario(path)
+    assert scn.is_grid == (path != TWO_POINT)
+    assert scn.reference.domain is scn.cost.y_support
+    assert scn.p_x.domain is scn.cost.x_points
+    assert scn.families
+    for fam in scn.families.values():
+        assert fam.domain is scn.cost.y_support
+        assert fam.x_points is scn.cost.x_points
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,27 @@ and in text, on a fixed input set (and on each ``FILE`` given):
 * ``tests/data/*.json``, the golden ``*.report.json`` files excepted;
 * the files of every workload of ``bench/workloads.py`` at seeds 911 and 4242;
 * ``gibbsgap generate --seed 7`` at 4x8x5 and 16x32x3 (written by ``REV``'s
-  tree; the generated bytes of both trees are compared too).
+  tree; the generated bytes of both trees are compared too);
+* the one-fault documents of ``FAULTS``, written into the temporary directory, which
+  take every exit-2 message of the loader's ``_build_scenario`` and ``_parse_check`` at
+  least once.  Each is the valid 2 x 2 document ``POINTS`` or ``GRID`` with one field
+  set (or dropped, ``DROP``):
+
+  - the document: ``no-name``, ``both-y``, ``no-x_points``, ``no-cost``,
+    ``no-reference``, ``schema-2``;
+  - ``POINTS``' Y-support and cost: ``duplicate-y``, ``cost-not-rows``, ``ragged-cost``,
+    ``cost-columns``, ``cost-rows``;
+  - ``GRID``'s Y-support and cost: ``y_grid-not-an-object``, ``grid-lo``,
+    ``grid-n_cells``, ``grid-lo-above-hi``, ``grid-cost-columns``;
+  - the reference: ``reference-length`` and ``grid-reference-length``,
+    ``lebesgue-on-points``, ``counting-on-grid``, ``negative-reference``;
+  - the other measures: ``zero-lambda``, ``p_x-length``, ``families-not-an-object``,
+    ``family-rows``, ``family-row-length``, ``grid-family-row-length``,
+    ``family-negative``, ``grid-family-zero-mass``;
+  - the checks: ``no-pairs``, ``check-not-an-object``, ``unknown-op``, ``foreign-key``,
+    ``missing-p2``, ``x_index-range``, ``unknown-family``, ``bad-direction``,
+    ``bad-alpha``, ``bad-iters``, ``bad-seed``, ``expect-form``, ``expect-unknown``,
+    ``bad-tolerance``, ``label-not-a-string``.
 
 It prints each input whose report, exit code or stderr differs, the JSON
 ``wall_time_s`` and the text summary's time ignored, and exits 1 if any
@@ -21,6 +41,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -32,6 +53,70 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (911, 4242)
 GENERATE = ((4, 8, 5), (16, 32, 3))
+
+POINTS = {
+    "schema": 1, "name": "fault", "y_support": [[0.0], [1.0]], "x_points": [[0.0], [1.0]],
+    "cost": [[0.0, 1.0], [1.0, 0.0]], "reference": "counting", "lambdas": [0.5],
+    "p_x": [0.5, 0.5], "families": {"f": [[0.5, 0.5], [0.25, 0.75]]},
+    "pairs": [{"op": "gap_closed_form", "x_index": 0, "p1": "f", "p2": "f"}],
+}
+DROP = "<drop>"
+GRID = {**POINTS, "y_support": DROP, "y_grid": {"lo": 0.0, "hi": 2.0, "n_cells": 2},
+        "reference": "lebesgue"}
+
+
+def _check(**fields) -> dict:
+    return {"pairs": [fields]}
+
+
+#: name -> (base document, the fields set on it, DROP to remove one)
+FAULTS = {
+    "no-name": (POINTS, {"name": DROP}),
+    "both-y": (POINTS, {"y_grid": GRID["y_grid"]}),
+    "no-x_points": (POINTS, {"x_points": DROP}),
+    "no-cost": (POINTS, {"cost": DROP}),
+    "no-reference": (POINTS, {"reference": DROP}),
+    "schema-2": (POINTS, {"schema": 2}),
+    "duplicate-y": (POINTS, {"y_support": [[0.0], [0.0]]}),
+    "cost-not-rows": (POINTS, {"cost": []}),
+    "ragged-cost": (POINTS, {"cost": [[0.0, 1.0], [1.0]]}),
+    "cost-columns": (POINTS, {"cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}),
+    "cost-rows": (POINTS, {"cost": [[0.0, 1.0]]}),
+    "y_grid-not-an-object": (GRID, {"y_grid": [0.0, 2.0, 2]}),
+    "grid-lo": (GRID, {"y_grid": {"lo": "low", "hi": 2.0, "n_cells": 2}}),
+    "grid-n_cells": (GRID, {"y_grid": {"lo": 0.0, "hi": 2.0, "n_cells": 0}}),
+    "grid-lo-above-hi": (GRID, {"y_grid": {"lo": 2.0, "hi": 0.0, "n_cells": 2}}),
+    "grid-cost-columns": (GRID, {"cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}),
+    "reference-length": (POINTS, {"reference": [1.0]}),
+    "grid-reference-length": (GRID, {"reference": [1.0, 1.0, 1.0]}),
+    "lebesgue-on-points": (POINTS, {"reference": "lebesgue"}),
+    "counting-on-grid": (GRID, {"reference": "counting"}),
+    "negative-reference": (POINTS, {"reference": [1.0, -1.0]}),
+    "zero-lambda": (POINTS, {"lambdas": [0.5, 0.0]}),
+    "p_x-length": (POINTS, {"p_x": [1.0]}),
+    "families-not-an-object": (POINTS, {"families": []}),
+    "family-rows": (POINTS, {"families": {"f": [[0.5, 0.5]]}}),
+    "family-row-length": (POINTS, {"families": {"f": [[0.5, 0.5], [1.0]]}}),
+    "grid-family-row-length": (GRID, {"families": {"f": [[0.5, 0.5], [0.2, 0.3, 0.5]]}}),
+    "family-negative": (POINTS, {"families": {"f": [[0.5, 0.5], [-1.0, 2.0]]}}),
+    "grid-family-zero-mass": (GRID, {"families": {"f": [[0.0, 0.0], [0.5, 0.5]]}}),
+    "no-pairs": (POINTS, {"pairs": DROP}),
+    "check-not-an-object": (POINTS, {"pairs": [["gap_closed_form"]]}),
+    "unknown-op": (POINTS, _check(op="gap")),
+    "foreign-key": (POINTS, _check(op="gibbs_marginal_gap", x_index=0)),
+    "missing-p2": (POINTS, _check(op="gap_closed_form", p1="f")),
+    "x_index-range": (POINTS, _check(op="free_energy_identities", x_index=2)),
+    "unknown-family": (POINTS, _check(op="marginal_gap", family="g")),
+    "bad-direction": (POINTS, _check(op="expected_gap_relative", family1="f", family2="f",
+                                     direction="up")),
+    "bad-alpha": (POINTS, _check(op="gap_mixture_reference", p1="f", p2="f", alpha="half")),
+    "bad-iters": (POINTS, _check(op="variational_oracle", iters=0)),
+    "bad-seed": (POINTS, _check(op="variational_oracle", seed=-1)),
+    "expect-form": (POINTS, _check(op="gibbs_marginal_gap", expect="ZeroMass")),
+    "expect-unknown": (POINTS, _check(op="gibbs_marginal_gap", expect="error:ZeroMass")),
+    "bad-tolerance": (POINTS, _check(op="gibbs_marginal_gap", tolerance=0)),
+    "label-not-a-string": (POINTS, _check(op="gibbs_marginal_gap", name=3)),
+}
 
 
 def _unpack(rev: str, into: Path) -> Path:
@@ -54,6 +139,17 @@ def _workload_files(out_dir: Path) -> list[Path]:
     spec.loader.exec_module(workloads)
     return [path for name in workloads.WORKLOADS for seed in SEEDS
             for path in workloads.workload_files(name, seed, out_dir)]
+
+
+def _fault_files(out_dir: Path) -> list[Path]:
+    """The documents of ``FAULTS``, written under ``out_dir``."""
+    out_dir.mkdir()
+    paths = []
+    for name, (base, fields) in FAULTS.items():
+        doc = {k: v for k, v in {**base, **fields}.items() if v != DROP}
+        paths.append(out_dir / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    return paths
 
 
 def _generated(srcs: list[Path], out_dir: Path) -> tuple[list[Path], list[str]]:
@@ -103,7 +199,7 @@ def main(argv: list[str]) -> int:
                   *sorted((ROOT / "bench" / "data").glob("*.json")),
                   *sorted(p for p in (ROOT / "tests" / "data").glob("*.json")
                           if not p.name.endswith(".report.json")),
-                  *_workload_files(tmp / "workloads")]
+                  *_workload_files(tmp / "workloads"), *_fault_files(tmp / "faults")]
         generated, differ = _generated(srcs, tmp)
         inputs = list(dict.fromkeys([*inputs, *generated, *(Path(a).resolve() for a in argv[1:])]))
         for path in inputs:
