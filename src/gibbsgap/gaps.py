@@ -142,6 +142,8 @@ class GapDecomposition:
 
 
 class _Identity(NamedTuple):
+    """A gap identity, as the comment above reads it: its KL terms, its gap and its tag."""
+
     terms: dict[str, tuple[str, str, str]]
     lam_gap: Callable[[Mapping[str, float]], float]
     tag: str

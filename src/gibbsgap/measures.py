@@ -209,6 +209,8 @@ class _Atoms:
 
 @dataclass(frozen=True, eq=False, init=False)
 class _Measure(_Atoms):
+    """A measure's support object and whether it is a probability, beside its atoms."""
+
     domain: Union[PointSupport, GridSupport]
     is_probability: bool
 

@@ -184,62 +184,148 @@ def _points(values, where: str) -> list:
     return out
 
 
+#: Characters read from a scenario file at a time: the load holds the text not yet scanned,
+#: about one chunk past the value it is scanning, not the whole file's text.
+_CHUNK = 1 << 16
+
 _scan_value = json.JSONDecoder().scan_once  # the C scanner of json.loads, one value at a time
 _skip_space = json.decoder.WHITESPACE.match
 
 
-def _scan_members(text: str, i: int, top: bool) -> tuple[dict, int]:
-    """The object whose ``{`` precedes ``text[i]``, one member at a time, and the index past
-    its ``}``; the rows of the top-level ``cost`` and of each family go through
-    :func:`_as_array` once scanned.  Raises where the text is not well-formed JSON."""
-    obj: dict = {}
-    i = _skip_space(text, i).end()
-    if text[i] == "}":
-        return obj, i + 1
-    while True:
-        if text[i] != '"':
-            raise ValueError(i)
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = _skip_space(text, i).end()
-        if text[i] != ":":
-            raise ValueError(i)
-        i = _skip_space(text, i + 1).end()
-        if top and key == "families" and text[i] == "{":
-            value, i = _scan_members(text, i + 1, top=False)
-        else:
-            value, i = _scan_value(text, i)
-            if (not top or key == "cost") and isinstance(value, list):
-                # a new list: converting in place measured 0.4 MB more peak RSS on a 9.8 MB file
-                value = [_as_array(row) for row in value]
-        obj[key] = value  # a repeated key keeps its first place and its last value, as in json
-        i = _skip_space(text, i).end()
-        if text[i] == "}":
-            return obj, i + 1
-        if text[i] != ",":
-            raise ValueError(i)
-        i = _skip_space(text, i + 1).end()
+class _Scanner:
+    """The scan of a JSON object read in chunks through a window, ``text``, that holds only
+    the text not yet consumed.  Each step takes an index into the window and returns one; a
+    step that meets the window's end drops the text before it, reads on and starts again.
+    Raises where the text is not well-formed JSON."""
+
+    def __init__(self, read: Callable[[int], str]):
+        self.read, self.text, self.eof = read, "", False
+
+    def refill(self, i: int, size: int = 0) -> int:
+        """Drop ``text[:i]`` and read on, a chunk or ``size`` characters if more; returns
+        where ``text[i]`` now is, 0."""
+        chunk = self.read(max(_CHUNK, size))
+        self.eof = not chunk
+        self.text = self.text[i:] + chunk
+        return 0
+
+    def token(self, i: int) -> tuple[int, str]:
+        """The first non-space character from ``i``: its index and itself, ``""`` at the end."""
+        while True:
+            i = _skip_space(self.text, i).end()
+            if i < len(self.text) or self.eof:
+                return i, self.text[i:i + 1]
+            i = self.refill(i)
+
+    def value(self, scan, i: int, close: str = "") -> tuple[Any, int]:
+        """``scan(text, i)`` once the window holds all of the value at ``i``: a ``close``
+        character first, if given, then the value as scanned, and past a scalar three more
+        characters, which no number can take up.  A scan that fails reads on by as much as
+        the window holds, so a value is scanned a few times at most."""
+        k = i
+        while close and self.text.find(close, k) < 0 and not self.eof:
+            k, i = len(self.text) - i, self.refill(i)
+        while True:
+            try:
+                value, end = scan(self.text, i)
+                if self.eof or self.text[end - 1] in '"]}' or end + 2 < len(self.text):
+                    return value, end
+            except (ValueError, StopIteration):
+                if self.eof:
+                    raise
+            i = self.refill(i, len(self.text) - i)
+
+    def items(self, i: int, close: str, item) -> tuple[list, int]:
+        """The items of the array or object whose opening bracket precedes ``text[i]``, each
+        as ``item(i)`` scans it, and the index past its ``close``."""
+        items: list = []
+        i, c = self.token(i)
+        if c == close:
+            return items, i + 1
+        while True:
+            value, i = item(i)
+            items.append(value)
+            i, c = self.token(i)
+            if c == close:
+                return items, i + 1
+            if c != ",":
+                raise ValueError(i)
+            i, _ = self.token(i + 1)
+
+    def row(self, i: int) -> tuple[Any, int]:
+        """A matrix row, scanned once the window holds its ``]``, through :func:`_as_array`."""
+        row, i = self.value(_scan_value, i, "]")
+        return _as_array(row), i
+
+    def members(self, i: int, top: bool) -> tuple[dict, int]:
+        """The object whose ``{`` precedes ``text[i]``, and the index past its ``}``; the rows
+        of the top-level ``cost`` and of each family go through :meth:`row`."""
+
+        def member(i: int) -> tuple[tuple[str, Any], int]:
+            if not self.text.startswith('"', i):
+                raise ValueError(i)
+            key, i = self.value(json.decoder.scanstring, i + 1)
+            i, c = self.token(i)
+            if c != ":":
+                raise ValueError(i)
+            i, c = self.token(i + 1)
+            if top and key == "families" and c == "{":
+                value, i = self.members(i + 1, top=False)
+            elif (not top or key == "cost") and c == "[":
+                value, i = self.items(i + 1, "]", self.row)
+            else:
+                value, i = self.value(_scan_value, i)
+            return (key, value), i
+
+        members, i = self.items(i, "}", member)
+        return dict(members), i  # a repeated key keeps its first place and its last value
+
+
+def _scan(read: Callable[[int], str], whole: Callable[[], str]):
+    """``json.loads(whole())``, scanned from ``read(n)``, which returns the text's next ``n``
+    characters, with at most one matrix row's Python floats alive.  A text the scan does not
+    take goes to ``json.loads(whole())``, which returns or raises as ever."""
+    scanner = _Scanner(read)
+    try:
+        i, c = scanner.token(0)
+        if c == "{":
+            doc, i = scanner.members(i + 1, top=True)
+            if scanner.token(i)[1] == "":
+                return doc
+    except (ValueError, StopIteration, RecursionError):
+        pass  # an undecodable byte too, which the whole read raises again, at its file offset
+    return json.loads(whole())
 
 
 def _parse(text: str):
-    """``json.loads(text)``, with at most one matrix's Python floats alive beside the text.  A
-    text the scan does not take goes to ``json.loads``, which returns or raises as ever."""
-    try:
-        i = _skip_space(text, 0).end()
-        if text[i] == "{":
-            doc, i = _scan_members(text, i + 1, top=True)
-            if _skip_space(text, i).end() == len(text):
-                return doc
-    except (ValueError, IndexError, StopIteration, RecursionError):
-        pass
-    return json.loads(text)
+    """``json.loads(text)``, scanned as one chunk."""
+    chunks = iter((text,))
+    return _scan(lambda n: next(chunks, ""), lambda: text)
+
+
+def _read(f):
+    """``json.loads(f.read())`` of the text stream ``f``, scanned ``_CHUNK`` characters at a
+    time; the fallback seeks back and reads it whole.  A stream that cannot seek, such as a
+    pipe, is read whole at once and never opened again."""
+    if not f.seekable():
+        return _parse(f.read())
+
+    def whole() -> str:
+        f.seek(0)
+        return f.read()
+
+    return _scan(f.read, whole)
 
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
-    The file is scanned one top-level value, and one family, at a time; each all-number row of
-    ``cost`` and of a family is held as a float array once scanned.  The document and every
-    message are those of ``json.loads``.
+    The file is read as UTF-8 text, with universal newlines as ``Path.read_text`` reads it, in
+    chunks of ``_CHUNK`` (64 Ki) characters.  It is scanned one top-level value, one family and
+    one matrix row at a time; each all-number row of ``cost`` and of a family is held as a
+    float array once scanned.  The load's traced peak stays about the file size, against twice
+    that for reading the whole text.  The document and every message are those of
+    ``json.loads`` of the whole text.
 
     Raises :class:`~gibbsgap.errors.ScenarioError` for anything wrong with
     the input — JSON syntax, schema shape, or measure construction — so the
@@ -247,18 +333,16 @@ def load_scenario(path) -> Scenario:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259), whatever the locale
+            doc = _read(f)
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}") from None
-    try:
-        doc = _parse(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # an integer literal past Python's digit limit
         raise ScenarioError(f"{path}: invalid JSON: {e}") from None
     except RecursionError:
         raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
-    del text  # not needed past parsing: free it before the scenario is built
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     schema = doc.get("schema")
@@ -398,6 +482,8 @@ def _one_of(v, where: str, choices) -> str:
 
 
 class _Param(NamedTuple):
+    """A check parameter: its parser, its default and whether the check's label shows it."""
+
     parse: Callable[[Any, str, int, dict], Any]  # (value, where, n_x, families)
     default: Any = None  # None: the parameter is required
     in_label: bool = True
@@ -473,6 +559,8 @@ def _oracle(scn: Scenario, ps: list, lams) -> list:
 
 
 class _Op(NamedTuple):
+    """An op of the runner: its identity tag, its parameters and the runner of its checks."""
+
     tag: str
     params: tuple[str, ...]
     # (scenario, the params of each check, lambdas) -> per check, one outcome per lambda (the

@@ -97,3 +97,10 @@ def test_module_all_is_a_literal_list_of_its_own_names_in_the_package(name):
     assert set(names) <= set(gibbsgap.__all__)
     for n in names:  # bound in the module, and the very object the package exports
         assert getattr(gibbsgap, n) is getattr(module, n)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_class_has_a_docstring(path):
+    # a dataclass without one has inspect.signature write it at import time
+    classes = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.ClassDef)]
+    assert [c.name for c in classes if ast.get_docstring(c) is None] == []

@@ -1,18 +1,27 @@
 """The scenario loader's scan against ``json.loads``.
 
-``load_scenario`` scans a file one top-level value, and one family, at a
-time, and holds each all-number row of ``cost`` and of a family as a float
-array once its value is scanned.  A differential test over generated JSON
-texts checks that the scanned document is ``json.loads``'s, row arrays
-aside; a table of malformed and edge-case texts checks that every message
-is the one ``json.loads`` gives; and a tracemalloc bound checks that the
-load holds no more than the read needs.
+``load_scenario`` reads a file as UTF-8 text in chunks of ``scenario._CHUNK``
+(64 Ki) characters and scans it through a window that holds only the text
+not yet consumed: one top-level value, one family and one matrix row at a
+time, each all-number row of ``cost`` and of a family held as a float array
+once scanned.  A differential test over generated JSON texts checks that the
+scanned document is ``json.loads``'s, row arrays aside, scanned whole and
+read 1 and 7 characters at a time; a table of malformed and edge-case files
+checks that every message is the one ``json.loads(path.read_text(...))``
+gives, at those chunk sizes too, and from a pipe; and tracemalloc bounds
+check that the load's peak stays near the file size, where reading the whole
+text holds twice that.
 """
 
+import io
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -145,19 +154,38 @@ def _assert_scanned(got, want):
             _assert_same(got[key], want[key], f"$.{key}")
 
 
+#: Chunk sizes, in characters, that put a chunk boundary inside every token and every row.
+CHUNKS = [1, 7]
+
+
+def _scanned(text, chunk):
+    """The loader's document of ``text``: scanned as one chunk (``chunk`` None), or read from
+    a stream ``chunk`` characters at a time."""
+    if chunk is None:
+        return scenario._parse(text)
+    with mock.patch.object(scenario, "_CHUNK", chunk):
+        return scenario._read(io.StringIO(text))
+
+
+@pytest.fixture(scope="module")
+def chunk():
+    """The differential tests scan a text as one chunk; the chunked run passes a size."""
+    return None
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=DOCUMENTS, data=st.data())
-def test_the_scan_gives_the_document_of_json_loads(doc, data):
+def test_the_scan_gives_the_document_of_json_loads(chunk, doc, data):
     text = _write(doc, lambda: data.draw(SPACES))
     want = json.loads(text)
     with mock.patch.object(json, "loads", side_effect=AssertionError("the scan fell back")):
-        got = scenario._parse(text)
+        got = _scanned(text, chunk)
     _assert_scanned(got, want)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=DOCUMENTS, data=st.data())
-def test_a_cut_or_padded_text_parses_or_fails_as_json_loads_does(doc, data):
+def test_a_cut_or_padded_text_parses_or_fails_as_json_loads_does(chunk, doc, data):
     text = _write(doc, lambda: data.draw(SPACES))
     text = data.draw(st.sampled_from([
         text[:data.draw(st.integers(0, len(text)))],
@@ -169,10 +197,16 @@ def test_a_cut_or_padded_text_parses_or_fails_as_json_loads_does(doc, data):
         want = json.loads(text)
     except ValueError as e:
         with pytest.raises(type(e)) as got:
-            scenario._parse(text)
+            _scanned(text, chunk)
         assert str(got.value) == str(e)
     else:
-        _assert_scanned(scenario._parse(text), want)
+        _assert_scanned(_scanned(text, chunk), want)
+
+
+@pytest.mark.parametrize("size", CHUNKS)
+def test_texts_read_in_chunks_parse_or_fail_as_json_loads_does(size):
+    test_the_scan_gives_the_document_of_json_loads(chunk=size)
+    test_a_cut_or_padded_text_parses_or_fails_as_json_loads_does(chunk=size)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +279,11 @@ CORPUS = {
     "-0.0 in cost and a family": _text(
         cost=[[-0.0, 1.0, -1.5], [2, -0.0, 0.5]],
         families={"f1": [[-0.0, 0.5, 0.5], [1, 2, 3]], "f2": BASE["families"]["f2"]}),
+    "CRLF line ends": T.replace("\n", "\r\n"),
+    "CR line ends": T.replace("\n", "\r"),
+    "CRLF line ends and no colon": T.replace("\n", "\r\n").replace('"cost":', '"cost"', 1),
+    "CRLF line ends and a trailing comma in a family row": T.replace(
+        "0.5\n   ],", "0.5,\n   ],", 1).replace("\n", "\r\n"),
 }
 
 
@@ -258,14 +297,69 @@ def _outcome(path):
     return "report", render_json(report)
 
 
+def _json_loads_outcome(path):
+    """What ``load_scenario`` says when the file is parsed by ``json.loads`` of its whole text."""
+    with mock.patch.object(scenario, "_read", lambda f: json.loads(path.read_text(encoding="utf-8"))):
+        return _outcome(path)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_a_malformed_or_odd_file_says_what_json_loads_says(name, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(CORPUS[name], encoding="utf-8")
     got = _outcome(path)
-    with mock.patch.object(scenario, "_parse", json.loads):
-        want = _outcome(path)
+    want = _json_loads_outcome(path)
     assert got == want
+
+
+@pytest.mark.parametrize("size", CHUNKS)
+def test_a_malformed_or_odd_file_read_in_chunks_says_what_json_loads_says(size, tmp_path):
+    for name, text in CORPUS.items():
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        want = _json_loads_outcome(path)
+        with mock.patch.object(scenario, "_CHUNK", size):
+            assert _outcome(path) == want, name
+
+
+@pytest.mark.parametrize("size", [scenario._CHUNK, *CHUNKS])
+def test_an_undecodable_byte_past_the_first_chunk_is_named_at_its_file_offset(size, tmp_path):
+    raw = T.encode().replace(b'"scan"', b'"' + b"s" * 70_000 + b'\xff"', 1)
+    path = tmp_path / "s.json"
+    path.write_bytes(raw)
+    at = raw.index(b"\xff")
+    assert at > 70_000 > scenario._CHUNK
+    want = f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    assert _json_loads_outcome(path) == ("error", want)
+    with mock.patch.object(scenario, "_CHUNK", size):
+        assert _outcome(path) == ("error", want)
+
+
+@pytest.mark.parametrize("text", [T, '{"schema": 1, "name": "x",, }'], ids=["valid", "malformed"])
+def test_a_pipe_is_read_once_and_never_opened_again(text, tmp_path):
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        run = subprocess.run([sys.executable, "-m", "gibbsgap.cli", "verify", "--format", "json",
+                              str(pipe)], capture_output=True, text=True, timeout=30)
+    finally:
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # frees a writer still waiting
+        writer.join(timeout=10)
+        os.close(reader)
+    assert not writer.is_alive()
+    if text == T:
+        (tmp_path / "s.json").write_text(T, encoding="utf-8")
+        kind, want = _outcome(tmp_path / "s.json")
+        got = json.loads(run.stdout)
+        del got["wall_time_s"]
+        assert (run.returncode, run.stderr, kind) == (0, "", "report")
+        assert got == json.loads(want)
+    else:
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (f"error: {pipe}: invalid JSON at line 1 column 27: "
+                              "Expecting property name enclosed in double quotes\n")
 
 
 def test_the_corpus_reaches_both_outcomes_and_keeps_the_name_first(tmp_path):
@@ -281,8 +375,10 @@ def test_the_corpus_reaches_both_outcomes_and_keeps_the_name_first(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# load memory: the read holds the file's bytes and its text together, twice the
-# file size; the scan and the build stay below that
+# load memory: the file is read in chunks, so the load never holds its whole
+# text; the scanned rows and the built scenario set the peak, about the file
+# size.  A read of the whole text holds its bytes and the text together, twice
+# the file size: the 2.25x bound is the one that read met.
 
 
 def _all_number_scenario(path, n_x, n_y, grid):
@@ -309,14 +405,29 @@ def _all_number_scenario(path, n_x, n_y, grid):
     return path
 
 
-@pytest.mark.parametrize("n_x, n_y, grid", [(4, 20_000, True), (64, 512, False)])
-def test_the_load_peaks_at_the_read(tmp_path, n_x, n_y, grid):
-    path = _all_number_scenario(tmp_path / "s.json", n_x, n_y, grid)
-    size = path.stat().st_size
+def _load_peak(path) -> tuple[int, int]:
+    """``load_scenario``'s traced peak on ``path``, and the file size, in bytes."""
     tracemalloc.start()
     try:
         load_scenario(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, path.stat().st_size
+
+
+SHAPES = [(4, 20_000, True), (64, 512, False)]
+
+
+@pytest.mark.parametrize("n_x, n_y, grid", SHAPES)
+def test_the_load_peaks_at_the_read(tmp_path, n_x, n_y, grid):
+    peak, size = _load_peak(_all_number_scenario(tmp_path / "s.json", n_x, n_y, grid))
     assert peak <= 2.25 * size, f"peak {peak / size:.2f} x the file size"
+
+
+@pytest.mark.parametrize("n_x, n_y, grid", SHAPES)
+def test_the_load_peaks_near_the_file_size(tmp_path, n_x, n_y, grid):
+    path = _all_number_scenario(tmp_path / "s.json", n_x, n_y, grid)
+    with mock.patch.object(json, "loads", side_effect=AssertionError("the load fell back")):
+        peak, size = _load_peak(path)
+    assert peak <= 1.25 * size, f"peak {peak / size:.2f} x the file size"

@@ -9,6 +9,10 @@ and in text, on a fixed input set (and on each ``FILE`` given):
 * ``scenarios/*.json`` and ``bench/data/*.json``;
 * ``tests/data/*.json``, the golden ``*.report.json`` files excepted;
 * the files of every workload of ``bench/workloads.py`` at seeds 911 and 4242;
+* two copies of the ``wide-finite`` file at seed 911, indented one value a line: one
+  with CRLF line ends, and one with a byte that is no UTF-8 at byte 70,000, past the
+  loader's first chunk, so that line ends and the decoding message cross chunk
+  boundaries;
 * ``gibbsgap generate --seed 7`` at 4x8x5 and 16x32x3 (written by ``REV``'s
   tree; the generated bytes of both trees are compared too);
 * the one-fault documents of ``FAULTS``, written into the temporary directory, which
@@ -141,6 +145,16 @@ def _workload_files(out_dir: Path) -> list[Path]:
             for path in workloads.workload_files(name, seed, out_dir)]
 
 
+def _text_files(source: Path, out_dir: Path) -> list[Path]:
+    """A CRLF copy of the scenario file ``source``, one value a line, and a copy of that
+    with a byte that is no UTF-8 at byte 70,000, written under ``out_dir``."""
+    raw = json.dumps(json.loads(source.read_text()), indent=1).replace("\n", "\r\n").encode()
+    crlf, bad = out_dir / "crlf.json", out_dir / "bad-byte.json"
+    crlf.write_bytes(raw)
+    bad.write_bytes(raw[:70_000] + b"\xff" + raw[70_000:])
+    return [crlf, bad]
+
+
 def _fault_files(out_dir: Path) -> list[Path]:
     """The documents of ``FAULTS``, written under ``out_dir``."""
     out_dir.mkdir()
@@ -200,6 +214,7 @@ def main(argv: list[str]) -> int:
                   *sorted(p for p in (ROOT / "tests" / "data").glob("*.json")
                           if not p.name.endswith(".report.json")),
                   *_workload_files(tmp / "workloads"), *_fault_files(tmp / "faults")]
+        inputs += _text_files(tmp / "workloads" / "wide-finite-911.json", tmp)
         generated, differ = _generated(srcs, tmp)
         inputs = list(dict.fromkeys([*inputs, *generated, *(Path(a).resolve() for a in argv[1:])]))
         for path in inputs:

@@ -7,7 +7,9 @@ checkout's ``src/``) first on ``sys.path`` and no bytecode written, and
 reports its ``ru_maxrss`` when it ends:
 
 * ``import``: ``import gibbsgap.cli`` and ``gibbsgap.scenario``;
-* ``read``: the import, then ``Path(FILE).read_text(encoding="utf-8")``;
+* ``read``: the import, then the read that ``load_scenario`` makes, without the scan:
+  ``FILE`` opened as UTF-8 text and read ``scenario._CHUNK`` characters at a time, or
+  whole at once by a revision that has no ``_CHUNK``;
 * ``load``: the import, then ``load_scenario(FILE)``;
 * ``run``: the load, then ``render_json(run_scenario(...))``.
 
@@ -35,7 +37,6 @@ STAGES = ("import", "read", "load", "run")
 # argv: src, file, stage.  Prints {"peak": MB, "ops": {op: MB as it returns}} as JSON.
 _CHILD = r"""
 import json, resource, sys
-from pathlib import Path
 src, path, stage = sys.argv[1:4]
 sys.path.insert(0, src)
 import gibbsgap.cli
@@ -46,7 +47,9 @@ def peak():
 
 ops = {}
 if stage == "read":
-    Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        while f.read(getattr(scenario, "_CHUNK", -1)):
+            pass
 elif stage in ("load", "run"):
     scn = scenario.load_scenario(path)
     if stage == "run":
