@@ -74,12 +74,14 @@ def _kl_rows(mass: np.ndarray, log_p: np.ndarray, log_q) -> list[float]:
 
     With ``mass`` the atom masses of ``p`` a row is ``kl(p, q)``, ``+inf``
     where ``q`` is null on an atom where ``p`` is not, or where the sum is past
-    the largest float (NaN from :func:`_mean_rows`).  Such a sum is positive:
-    no log atom is above about 745, so only a positive term can be that large.
+    the largest float (``+inf``, or NaN from :func:`_mean_rows`).  Such a sum
+    is positive: no log atom is above about 745, so only a positive term can
+    be that large.
 
     The inputs are only read.  The kernel owns one matrix, of the broadcast
     shape: it holds ``log p - log q``, and then, written by :func:`_mean_rows`,
-    the products with ``mass`` that :func:`_cascade` sums in its own workspace.
+    the products with ``mass``, which the row sum adds into a matrix of half
+    its width.
     """
     shape = np.broadcast(mass, log_p, log_q).shape
     with np.errstate(invalid="ignore"):  # -inf - -inf on atoms of neither law, never summed

@@ -32,18 +32,18 @@ kernel at all the tilts of a call.  The entry names the law it tilts, its
 terms, its closed form and its tag; the kernel holds no case of its own.
 The laws are stacked one row per conditioning point, the named law is
 tilted by the one tilt helper of :mod:`gibbsgap.gibbs` when a term needs
-the tilt, and each term is a compensated per-row sum.  The inputs are
+the tilt, and each term is a pairwise per-row sum.  The inputs are
 checked, and the direct value and the terms that do not name the Gibbs
 measure are summed, once, before the first tilt; the Gibbs terms are
 summed at each tilt.  A single conditioning point is the one-row case, and
 its tilts are stacked as the rows of one sum; the averaged and marginal
-forms are ``p_x``-weighted compensated sums of the per-row values over the
-points carrying X-mass, tilted one tilt at a time.  The kernel loops over
-these tilt blocks itself: it tilts a block, sums each Gibbs term over every
-row of it, reads each tilt's rows and error as every ``len(block)``-th row,
-and frees the block before it tilts the next.  The Gibbs-family marginal
-tilts only the rows carrying X-mass to build its family, as the other
-averaged forms tilt only those.  Each public function checks its tilt and
+forms are ``p_x``-weighted sums, by ``math.fsum``, of the per-row values
+over the points carrying X-mass, tilted one tilt at a time.  The kernel
+loops over these tilt blocks itself: it tilts a block, sums each Gibbs term
+over every row of it, reads each tilt's rows and error as every
+``len(block)``-th row, and frees the block before it tilts the next.  The
+Gibbs-family marginal tilts only the rows carrying X-mass to build its
+family, as the other averaged forms tilt only those.  Each public function checks its tilt and
 is the one-tilt case of its kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
@@ -309,7 +309,7 @@ def _aligned(h: CostTable, p_x: FiniteMeasure, *families: ConditionalFamily):
 
 
 def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
-    """``E_{p1}[h(x, .)] - E_{p2}[h(x, .)]`` by compensated summation.
+    """``E_{p1}[h(x, .)] - E_{p2}[h(x, .)]``, each expectation one pairwise row sum.
 
     Exactly antisymmetric in ``(p1, p2)``.  An expectation past the largest
     float raises :class:`~gibbsgap.errors.NonFiniteValue`.
@@ -423,7 +423,8 @@ def expected_gap_closed_form(
 
     Every family member carrying X-mass must be absolutely continuous with
     respect to ``q``; the aggregated terms are the p_x-weighted sums of the
-    per-point divergences, accumulated by compensated summation.
+    per-point divergences, each a pairwise row sum, accumulated over the
+    points by ``math.fsum``.
     """
     return _one_tilt(_expected_common(h, cond1, cond2, p_x, q, [_require_lambda(lam)]))
 

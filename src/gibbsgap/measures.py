@@ -312,93 +312,29 @@ def total_mass(p: Measure) -> float:
 # ---------------------------------------------------------------------------
 # row sums
 
-#: The entry count from which ``_fsum_rows`` sums all rows at once: below it,
-#: the cascade's fixed NumPy cost per level loses to one ``math.fsum`` per row.
-_CASCADE_MIN = 4096
+def _sum_rows(x: np.ndarray) -> list[float]:
+    """Each row's sum of the float matrix ``x``, pairwise in one fixed order.
 
+    Each level adds the second half of the columns to the first, and an odd
+    last column into the last of those sums, until one column is left; an
+    exact zero sum is +0.0.  Every entry passes through at most
+    ``k = ceil(log2 n)`` additions of a row of ``n``, so a finite sum is within
+    ``k u / (1 - k u) * sum |x|`` of the exact one, ``u = 2**-53``.  Its bits
+    depend only on IEEE addition in this order.  A row past the largest float
+    is ``+-inf`` where a partial sum overflows, and NaN from ``inf - inf``.
 
-def _two_sum(a, b, e=None, s=None):
-    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth), elementwise.
-
-    Only reads ``a`` and ``b``, and writes only ``e`` and ``s``, new arrays when None: ``e`` holds
-    ``s`` and then the error, ``s`` holds ``s - a`` and then ``b - (s - a)``, and ``s`` is
-    computed again at the end, so two buffers hold Knuth's three intermediates.
+    ``x`` is only read: the first level writes a new matrix of half its width,
+    and each later level adds in place into the start of that one.
     """
-    e = np.add(a, b, out=e)
-    s = np.subtract(e, a, out=s)
-    np.subtract(e, s, out=e)
-    np.subtract(a, e, out=e)
-    np.subtract(b, s, out=s)
-    e += s
-    return np.add(a, b, out=s), e
-
-
-def _cascade(x: np.ndarray):
-    """Each row's sum by a pairwise TwoSum cascade, and where it is proven to be ``fsum``'s.
-
-    A row of ``n >= 1`` entries sums exactly to the cascade's result ``r`` plus
-    its TwoSum errors, whose float sum ``t`` is within ``4 n u a`` of theirs,
-    with ``u = 2**-53`` and ``a`` the float sum of their magnitudes (Ogita,
-    Rump and Oishi 2005).  ``s = fl(r + t)`` is then the correctly rounded sum,
-    which ``fsum`` returns, when the exact rest ``r + t - s``, widened by that
-    bound, stays below half the gap from ``s`` to its neighbour on each side;
-    a row with no error is exact.  A row with an entry of ``|x| >= 2**1022 / n``
-    is not proven: the cascade or ``fsum`` may overflow there.
-
-    ``x`` is only read.  The cascade owns one matrix of workspace, ``x``'s
-    size less an odd column.  Each level of ``h`` pairs writes its errors and
-    then its sums as two contiguous ``(rows, h)`` blocks at the start of it,
-    and reads the sums of the level before, which lie past both: no operand of
-    a level shares memory with its output, so NumPy copies none.
-    """
-    n = x.shape[1]
-    with np.errstate(all="ignore"):  # a non-finite row is never proven
-        safe = max(x.max(), -x.min()) * n < 2.0**1022 or np.abs(x).max(axis=1) * n < 2.0**1022
-        carry = t = a = np.zeros(len(x))  # the odd column of a level goes to carry
-        work = np.empty(len(x) * (n - n % 2))
-        while x.shape[1] > 1:
-            h = x.shape[1] // 2
-            if x.shape[1] % 2:
-                carry, e = _two_sum(carry, x[:, 2 * h])
-                t, a = t + e, a + np.abs(e)
-            x, e = _two_sum(x[:, :h], x[:, h:2 * h], *work[:2 * len(x) * h].reshape(2, len(x), h))
-            t, a = t + e.sum(axis=1), a + np.abs(e, out=e).sum(axis=1)
-        r, e = _two_sum(x[:, 0], carry)
-        s, rest = _two_sum(r, t + e)
-        a = a + np.abs(e)
-        bound = np.nextafter(a * (n * 2.0**-51), math.inf)
-        above = np.nextafter(rest + bound, math.inf)  # the exact sum is in [s + below, s + above]
-        below = np.nextafter(rest - bound, -math.inf)
-        inside = (2 * above < np.nextafter(s, math.inf) - s) & (2 * below > np.nextafter(s, -math.inf) - s)
-        proven = safe & np.isfinite(s) & ((a == 0) | inside)
-    return s + 0.0, proven  # an exact zero sum is +0.0, as in fsum
-
-
-def _fsum(row: list) -> float:
-    """``math.fsum`` of ``row``, or NaN where it raises: a partial sum past the largest float,
-    or ``inf - inf``."""
-    try:
-        return math.fsum(row)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _fsum_rows(x: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of the float matrix ``x``, bit for bit, or NaN where it raises.
-
-    A +0.0 entry never changes a row's sum, so a row padded with +0.0 sums as
-    its own entries.  A call of ``_CASCADE_MIN`` entries or more sums every row
-    at once by ``_cascade``; a row it does not prove (non-finite, near
-    overflow, a tie, deep cancellation) is one ``fsum``.
-    """
-    if x.size < _CASCADE_MIN:
-        return [_fsum(v) for v in x.tolist()]
-    sums, proven = _cascade(x)
-    out = sums.tolist()
-    refused = np.flatnonzero(~proven)
-    for k, v in zip(refused.tolist(), x[refused].tolist()):
-        out[k] = _fsum(v)
-    return out
+    s = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s.shape[1] > 1:
+            h = s.shape[1] // 2
+            head = np.add(s[:, :h], s[:, h:2 * h], out=None if s is x else s[:, :h])
+            if s.shape[1] % 2:
+                head[:, -1] += s[:, -1]
+            s = head
+        return (s[:, 0] + 0.0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +342,10 @@ def _fsum_rows(x: np.ndarray) -> list[float]:
 
 
 def _masses(w: np.ndarray, base_mass: float) -> np.ndarray:
-    """Each row's total mass: the ``fsum`` of the row, times ``base_mass``.  The rows hold
-    finite, nonnegative weights; a mass past the largest float raises :class:`NonFiniteValue`."""
-    mass = [s * base_mass for s in _fsum_rows(w)]
+    """Each row's total mass: the :func:`_sum_rows` sum of the row, times ``base_mass``.  The
+    rows hold finite, nonnegative weights; a mass past the largest float raises
+    :class:`NonFiniteValue`."""
+    mass = [s * base_mass for s in _sum_rows(w)]
     if not all(map(math.isfinite, mass)):  # the sum, or its product with the cell width
         raise NonFiniteValue("total mass overflows a float")
     return np.array(mass)
@@ -472,7 +409,8 @@ def counting_measure(points) -> FiniteMeasure:
 
 def lebesgue_grid(lo: float, hi: float, n_cells: int) -> GridDensity:
     """Lebesgue measure restricted to ``[lo, hi)``: unit density everywhere."""
-    return make_grid_density(lo, hi, np.ones(int(n_cells)))
+    domain = GridSupport(float(lo), float(hi), int(n_cells))
+    return _built(domain, np.ones(domain.n_cells), None)
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +534,16 @@ def expectation(f, p: Measure) -> float:
 
 
 def _mean_rows(f: np.ndarray, masses: np.ndarray, work: Optional[np.ndarray] = None) -> list[float]:
-    """The one expectation sum: ``fsum`` of ``f * mass`` over each row's atoms of positive mass,
-    as one row of products with +0.0 on the atoms of no mass.  With ``f`` finite there, a row's
-    sum is not finite only where it is past the largest float: infinite where a product is (NaN
-    if two are, of opposite signs), NaN where only a partial sum is.
+    """The one expectation sum: the :func:`_sum_rows` sum of ``f * mass`` over each row's atoms
+    of positive mass, as one row of products with +0.0 on the atoms of no mass.  With ``f``
+    finite there, a row's sum is not finite only where it is past the largest float: ``+-inf``
+    where a product or a partial sum overflows, NaN where two of opposite signs meet.
 
     The products go into a new matrix, or into ``work``, a matrix of the broadcast shape that
     the caller owns and hands over, ``f`` itself included: its entries of no mass are set to
     +0.0 before any product is written.  Beyond that matrix, only a mask of ``masses``' shape
-    and :func:`_cascade`'s workspace are written; ``f`` and ``masses`` are otherwise only read.
+    and the row sum's half-width matrix are written; ``f`` and ``masses`` are otherwise only
+    read.
     """
     live = masses > 0.0
     if work is None:
@@ -613,8 +552,8 @@ def _mean_rows(f: np.ndarray, masses: np.ndarray, work: Optional[np.ndarray] = N
         np.copyto(work, 0.0, where=~live)
     with np.errstate(over="ignore"):  # a product past the largest float is infinite
         np.multiply(f, masses, out=work, where=live)
-    del live  # before the cascade's workspace is taken
-    return _fsum_rows(work)
+    del live  # before the row sum's matrix is taken
+    return _sum_rows(work)
 
 
 def _average(weights, rows) -> float:

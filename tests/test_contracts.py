@@ -22,6 +22,7 @@ from gibbsgap import (
     expectation,
     free_energy_identities,
     gibbs_tilt,
+    lebesgue_grid,
     make_finite_measure,
     marginal_y,
     mutual_information,
@@ -80,6 +81,8 @@ def _contract_calls() -> dict:
         "CostTable with a row missing": (
             lambda: CostTable.on_support(PTS, PTS, [[0.0, 1.0]]), IndexMismatch,
             "1 cost rows for 2 conditioning points"),
+        "lebesgue_grid of -1 cells": (
+            lambda: lebesgue_grid(0.0, 1.0, -1), EmptySupport, "a grid needs at least one cell"),
         "GridSupport with an infinite endpoint": (
             lambda: GridSupport(0, math.inf, 2), ValueError, "grid endpoints must be finite"),
         "PointSupport of a 3-D array": (

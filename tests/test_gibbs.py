@@ -32,6 +32,7 @@ from gibbsgap import (
 )
 from gibbsgap import gibbs
 from gibbsgap.gibbs import _logsumexp, _normalize_rows, _oracle_rows, _tilt_rows
+from gibbsgap.measures import _sum_rows
 from conftest import LAMBDAS, rand_cost, rand_prob, rand_reference, y_points
 
 PTS = [[0.0], [1.0]]
@@ -465,9 +466,9 @@ def _one_tilt_loop(h, q, lam, iters):
         log_p -= 0.5 * lam * grad
         log_p -= _logsumexp(log_p)
     p = np.exp(log_p[0])
-    masses = p > 0
-    value = (math.fsum(h_live[0][masses] * p[masses])
-             + math.fsum((log_p[0] - log_q[0])[masses] * p[masses]) / lam)
+    # the rows the kernel sums, in the package's order: the products, +0.0 where p has no mass
+    mean, div = _sum_rows(np.where(p > 0, [h_live[0] * p, (log_p[0] - log_q[0]) * p], 0.0))
+    value = mean + div / lam
     if abs(value + k / lam) > 1e-6:
         return NonConvergence(f"objective {value!r} is not within 1e-6 of the free energy "
                               f"{-k / lam!r} after {steps} iterations")

@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
-from gibbsgap.measures import _CASCADE_MIN, GridSupport, _cascade, _fsum_rows, _live_rows
+from gibbsgap.measures import GridSupport, _live_rows, _sum_rows
 
 PTS = [[0.0], [1.0]]
 
@@ -549,20 +550,23 @@ def test_constructors_copy_the_callers_arrays():
 
 
 # ---------------------------------------------------------------------------
-# the row sum: math.fsum of every row, bit for bit
+# the row sum: one pairwise order for every row
 
 
-def _fsum(values):
-    """``math.fsum`` as its bit pattern, that of ``math.nan`` where it raises."""
-    try:
-        return struct.pack("<d", math.fsum(values))
-    except (OverflowError, ValueError):
-        return struct.pack("<d", math.nan)
+def _pairwise(row: list) -> float:
+    """The row sum's order in plain Python: each level adds the second half of the
+    entries to the first, and an odd last entry into the last of those sums."""
+    while len(row) > 1:
+        h = len(row) // 2
+        head = [a + b for a, b in zip(row[:h], row[h:2 * h])]
+        if len(row) % 2:
+            head[-1] += row[-1]
+        row = head
+    return row[0] + 0.0
 
 
-def _outcome(x):
-    """``_fsum_rows`` as the bit patterns of its rows."""
-    return [struct.pack("<d", v) for v in _fsum_rows(x)]
+def _bits(values) -> list:
+    return [struct.pack("<d", v) for v in values]
 
 
 _WIDE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and 1e±300 included
@@ -576,7 +580,7 @@ _SPECIAL_ROWS = st.sampled_from([
     [0.0], [-0.0], [-0.0, -0.0, -0.0], [0.0] * 9,
     [1.0, 2.0**-53], [3.0, -(2.0**-52)], [2.0**53, 1.0, 0.0],  # exact ties, rounded half-even
     [1.0, -(2.0**-54)], [1.0, -(2.0**-55)], [0.5, 2.0**-55, -(2.0**-57)],  # by a power of two
-    [1e308, 5e307, 1e308, -1e308],  # the cascade does not overflow here, fsum does
+    [1e308, 5e307, 1e308, -1e308],  # a partial sum overflows in some orders
     [1e308, 1e308], [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 0.0],
 ])
 
@@ -596,31 +600,52 @@ _ROWS = st.lists(
 )
 
 
+def test_the_row_sum_is_its_plain_order_bit_for_bit():
+    # every width of 1 to 70, and one past 4096; odd widths carry a column at some level
+    rng = np.random.default_rng(26)
+    for n in [*range(1, 71), 4097]:
+        x = rng.standard_normal((3, n)) * rng.choice([1.0, 1e-8, 1e8], size=(3, n))
+        assert _bits(_sum_rows(x)) == _bits(map(_pairwise, x.tolist())), n
+
+
+def _gamma(n: int) -> Fraction:
+    """``k u / (1 - k u)`` with ``k = ceil(log2 n)``: the bound of a pairwise sum of ``n``."""
+    ku = Fraction((n - 1).bit_length(), 2**53)
+    return ku / (1 - ku)
+
+
 @settings(max_examples=150, deadline=None)
-@given(rows=_ROWS, seed=st.integers(0, 2**32 - 1))
-def test_the_row_sum_is_fsum_bit_for_bit(rows, seed):
-    # one long row puts the call past _CASCADE_MIN entries; a row the cascade
-    # proves ([1, 2]) and one it must hand to fsum (a tie) are always present
-    long_row = np.random.default_rng(seed).standard_normal(_CASCADE_MIN).tolist()
-    rows = rows + [long_row, [1.0, 2.0], [1.0, 2.0**-53]]
+@given(rows=_ROWS)
+def test_the_row_sum_is_within_the_pairwise_bound(rows):
+    rows = [[v for v in r if math.isfinite(v)] or [0.0] for r in rows]
     width = max(map(len, rows))
     x = np.zeros((len(rows), width))
     for k, r in enumerate(rows):
         x[k, :len(r)] = r
-    with np.errstate(all="raise"):  # the cascade leaks no floating-point error
-        proven = _cascade(x)[1]
-    assert proven.any() and not proven.all()  # both paths ran
+    # each row alone, and padded with +0.0 to the widest, as a row with atoms of no mass is
+    for r, alone, padded in zip(rows, (_sum_rows(np.array([r]))[0] for r in rows), _sum_rows(x)):
+        exact, size = sum(map(Fraction, r)), sum(abs(Fraction(v)) for v in r)
+        for got, n in ((alone, len(r)), (padded, width)):
+            if size <= 2**1023:  # no partial sum can pass the largest float
+                assert math.isfinite(got), r
+            if math.isfinite(got):
+                assert abs(Fraction(got) - exact) <= _gamma(n) * size, (r, n)
 
-    # row k is fsum of its own entries, NaN where that raises: the +0.0 padding changes no sum
-    want = [_fsum(r) for r in rows]
-    assert [_fsum(r) for r in x.tolist()] == want
-    assert _outcome(x) == want
 
-
-def test_a_small_call_sums_each_row_by_fsum():
-    x = np.array([[1.0, 2.0**-53, 0.0], [0.1, 0.2, 0.3], [1e308, 5e307, 1e308]])
-    assert x.size < _CASCADE_MIN
-    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        math.fsum(x[2])
-    sums = _fsum_rows(x)  # the row fsum cannot sum is NaN, and the others are summed
-    assert sums[:2] == [1.0, math.fsum([0.1, 0.2, 0.3])] and math.isnan(sums[2])
+def test_the_row_sum_of_special_rows():
+    inf, nan = math.inf, math.nan
+    rows = {  # row -> its sum
+        (inf,): inf, (-inf,): -inf, (1.0, inf, 2.0): inf, (-inf, 1.0, 2.0): -inf,
+        (nan,): nan, (1.0, nan, 2.0): nan, (inf, -inf): nan, (1.0, 2.0, inf, -inf): nan,
+        (1e308, 1e308): inf, (-1e308, -1e308, 1.0): -inf,
+        (0.0,): 0.0, (-0.0,): 0.0, (-0.0, -0.0): 0.0, (-0.0, 0.0, -0.0): 0.0, (-0.0,) * 9: 0.0,
+    }
+    for row, want in rows.items():
+        (got,) = _sum_rows(np.array([row]))
+        same = math.isnan(got) if math.isnan(want) else _bits([got]) == _bits([want])
+        assert same, row  # an exact zero is +0.0
+    # rows of different fates in one call, with no floating-point warning
+    x = np.array([[inf, -inf, 0.0], [1e308, 1e308, 0.0], [-0.0, -0.0, -0.0], [1.0, 2.0, 3.0]])
+    got = _sum_rows(x)
+    assert math.isnan(got[0]) and got[1:] == [inf, 0.0, 6.0]
+    assert struct.pack("<d", got[2]) == struct.pack("<d", 0.0)

@@ -11,7 +11,7 @@ import pytest
 
 from gibbsgap import gaps, scenario
 from gibbsgap.divergences import _kl_rows
-from gibbsgap.measures import _cascade, _logsumexp, _mean_rows
+from gibbsgap.measures import _logsumexp, _mean_rows, _sum_rows
 from gibbsgap.scenario import load_scenario, run_scenario
 
 
@@ -68,7 +68,7 @@ def _arrays(scn) -> dict:
 @pytest.mark.parametrize("n_x, n_y, grid", [(16, 512, False), (4, 4096, True)])
 def test_a_run_leaves_the_scenario_arrays_as_they_were(tmp_path, n_x, n_y, grid):
     # the averaged forms read the cost rows, the family matrices and their atom masses in
-    # place, and each call sums enough entries to take the cascade
+    # place, and sum rows of odd and even widths
     scn = load_scenario(_scenario_file(tmp_path / "s.json", n_x, n_y, grid))
     before = _arrays(scn)
     report = run_scenario(scn)
@@ -78,14 +78,10 @@ def test_a_run_leaves_the_scenario_arrays_as_they_were(tmp_path, n_x, n_y, grid)
         {name: a.tobytes() for name, a in before.items()}
 
 
-def test_each_op_group_of_a_run_stays_within_four_and_a_half_matrices(tmp_path, monkeypatch):
-    # A matrix is n_x * n_y floats.  The widest group, the Gibbs-family marginal gap, holds
-    # its family as log atoms and weights, a matrix of products or log ratios and the
-    # cascade's one matrix of workspace.  Kernels that allocated temporaries of their own
-    # beside those (a log-ratio matrix and a product matrix, a shifted matrix and its exp,
-    # three half matrices per cascade level) took it past 6.
-    n_x = n_y = 256
-    scn = load_scenario(_scenario_file(tmp_path / "s.json", n_x, n_y, grid=False))
+def _op_group_peaks(path, monkeypatch, n_x, n_y, grid) -> dict:
+    """The traced peak of each op group of a run of ``_scenario_file``, in matrices of
+    ``n_x * n_y`` floats, each above the memory held as the group starts."""
+    scn = load_scenario(_scenario_file(path, n_x, n_y, grid))
     run_scenario(scn)  # derives the families' log atoms, once
     peaks = {}
 
@@ -105,8 +101,27 @@ def test_each_op_group_of_a_run_stays_within_four_and_a_half_matrices(tmp_path, 
         run_scenario(scn)
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_each_op_group_of_a_run_stays_within_four_and_a_half_matrices(tmp_path, monkeypatch):
+    # A matrix is n_x * n_y floats.  The widest group, the Gibbs-family marginal gap, holds
+    # its family as log atoms and weights, a matrix of products or log ratios and the row
+    # sum's half matrix.  Kernels that allocated temporaries of their own beside those (a
+    # log-ratio matrix and a product matrix, a shifted matrix and its exp, three half
+    # matrices per level of a TwoSum cascade) took it past 6.
+    peaks = _op_group_peaks(tmp_path / "s.json", monkeypatch, 256, 256, grid=False)
     assert len(peaks) == 9
     assert max(peaks.values()) <= 4.5, {name: round(p, 2) for name, p in peaks.items()}
+
+
+def test_each_op_group_of_a_long_row_run_stays_within_five_matrices(tmp_path, monkeypatch):
+    # Few rows, long ones, two tilts: the shape of a fine grid, whose run phase sets the
+    # peak memory of the whole verify.  A TwoSum cascade's one matrix of workspace took the
+    # widest group, the expected common-reference gap, to 5.22.
+    peaks = _op_group_peaks(tmp_path / "s.json", monkeypatch, 8, 20_000, grid=True)
+    assert len(peaks) == 8
+    assert max(peaks.values()) <= 5.0, {name: round(p, 2) for name, p in peaks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +148,17 @@ def _read_only(*arrays):
 
 def test_each_kernel_writes_only_the_matrices_it_owns():
     # 64 x 4097 floats, 2 MB: NumPy's fixed iteration buffers (64 KB per strided operand)
-    # stay within the 0.1 of slack; an odd width gives the cascade a carry column
+    # stay within the 0.1 of slack; an odd width gives the row sum an odd column to add
     rng = np.random.default_rng(8)
     shape = (64, 4097)
     x, log_p, log_q = _read_only(rng.standard_normal(shape), np.log(rng.uniform(0.1, 1.0, shape)),
                                  np.log(rng.uniform(0.1, 1.0, shape)))
     (mass,) = _read_only(np.exp(log_p))
     size = x.nbytes
-    assert _traced(lambda: _cascade(x)) <= 1.1 * size  # its workspace
+    assert _traced(lambda: _sum_rows(x)) <= 0.6 * size  # its half-width matrix
     assert _traced(lambda: _logsumexp(x, axis=-1)) <= 1.1 * size  # its one temporary
-    assert _traced(lambda: _mean_rows(x, mass)) <= 2.1 * size  # products, cascade
-    assert _traced(lambda: _kl_rows(mass, log_p, log_q)) <= 2.1 * size  # ratios, cascade
+    assert _traced(lambda: _mean_rows(x, mass)) <= 1.6 * size  # products, row sum
+    assert _traced(lambda: _kl_rows(mass, log_p, log_q)) <= 1.6 * size  # ratios, row sum
 
 
 def test_an_averaged_form_holds_one_tilt_block_at_a_time(tmp_path, monkeypatch):

@@ -316,8 +316,8 @@ def test_a_family_reports_its_first_faulty_row(tmp_path, rows, message):
     ["two_point", "designed_violation", "generated-7-64x128", "multi_tilt", "multi_op", "multi_grid"])
 def test_reports_match_the_golden_files(name, tmp_path):
     # tests/data holds `verify --format json` without wall_time_s of the bundled
-    # scenarios, of `generate --seed 7 --nx 64 --ny 128`, whose 64 x 128 row
-    # sums take the vectorized path, of tests/data/multi_tilt.json, whose
+    # scenarios, of `generate --seed 7 --nx 64 --ny 128`, whose 128-atom rows
+    # take seven levels of the pairwise row sum, of tests/data/multi_tilt.json, whose
     # oracle checks each run at six tilts, of tests/data/multi_op.json, where
     # every op runs at six tilts and some tilts raise while others pass, and of
     # tests/data/multi_grid.json, the same on a 64-cell grid with a Lebesgue
@@ -440,7 +440,7 @@ def test_a_loaded_family_is_one_matrix_of_normalized_rows(tmp_path):
     assert fam.domain is scn.cost.y_support
     for k, row in enumerate(rows):
         want = make_finite_measure(scn.cost.y_support, [float(v) for v in row], normalize=True)
-        assert fam[k].weights.tobytes() == want.weights.tobytes()  # the same per-row fsum
+        assert fam[k].weights.tobytes() == want.weights.tobytes()  # the same per-row sum
         assert fam[k].is_probability and fam[k].domain is fam.domain
         assert not fam[k].weights.flags.writeable
 

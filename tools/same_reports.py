@@ -38,7 +38,12 @@ and in text, on a fixed input set (and on each ``FILE`` given):
 
 It prints each input whose report, exit code or stderr differs, the JSON
 ``wall_time_s`` and the text summary's time ignored, and exits 1 if any
-does.  Uses the standard library and git only.
+does.  For a JSON report that differs it prints how many records moved, the
+largest move in units of ``u * M`` (``u = 2**-53``, ``M = max(1, |direct|,
+sum |terms|)`` of the record at ``REV``) over its ``direct``, ``closed_form``,
+``discrepancy`` and terms, with the field that made it, and every record whose
+``status``, ``error`` or ``note`` changed; for any other output, the first line
+that differs.  Uses the standard library and git only.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -188,7 +194,7 @@ def _seen(src: Path, path: Path) -> list:
     seen = []
     for fmt in ("json", "text"):
         run = _gibbsgap(src, "verify", "--format", fmt, str(path))
-        out = re.sub(rb'\n *"wall_time_s": [^\n]*', b"", run.stdout)
+        out = re.sub(rb',\n *"wall_time_s": [^\n]*', b"", run.stdout)  # the last key
         out = re.sub(rb"\(\d+\.\d+s\)\n$", b"", out)
         seen.append((fmt, run.returncode, out, run.stderr.replace(bytes(src), b"<src>")))
     return seen
@@ -200,6 +206,57 @@ def _first_change(a: bytes, b: bytes) -> str:
     i = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
     line = lambda lines: lines[i].decode(errors="replace") if i < len(lines) else "<end>"
     return f"line {i + 1}: {line(old)!r}\n        -> {line(new)!r}"
+
+
+def _number(v):
+    """A report's number as a float (``"nan"``, ``"inf"`` and ``"-inf"`` included), else None."""
+    if isinstance(v, (int, float)):
+        return float(v)
+    return float(v) if v in ("nan", "inf", "-inf") else None
+
+
+def _move(was, now, scale: float) -> float:
+    """How far one field moved, in units of ``u * scale``: infinite if it became or stopped
+    being a finite number."""
+    if was == now:
+        return 0.0
+    was, now = _number(was), _number(now)
+    if was is None or now is None or not (math.isfinite(was) and math.isfinite(now)):
+        return math.inf
+    return abs(now - was) / (2.0**-53 * scale)
+
+
+def _scale(record: dict) -> float:
+    """``M = max(1, |direct|, sum |terms|)`` of a record, its non-numbers left out."""
+    direct = _number(record["direct"])
+    terms = [abs(t) for t in map(_number, (record["terms"] or {}).values()) if t is not None]
+    return max(1.0, abs(direct) if direct is not None else 0.0, math.fsum(terms))
+
+
+def _record_moves(a: bytes, b: bytes) -> list[str]:
+    """How the records of the JSON reports ``a`` and ``b`` moved, or nothing if either is
+    not a report."""
+    try:
+        old, new = (json.loads(r)["records"] for r in (a, b))
+    except (ValueError, KeyError, TypeError):
+        return []
+    lines = [] if len(old) == len(new) else [f"  records {len(old)} -> {len(new)}"]
+    moves = []
+    for k, (was, now) in enumerate(zip(old, new)):
+        name = f"record {k}, {was['check']} at lambda {was['lambda']}"
+        was_terms, now_terms = was["terms"] or {}, now["terms"] or {}
+        fields = {f: (was[f], now[f]) for f in ("direct", "closed_form", "discrepancy")}
+        fields.update({t: (was_terms.get(t), now_terms.get(t)) for t in {**was_terms, **now_terms}})
+        if any(x != y for x, y in fields.values()):
+            moves.append(max((_move(x, y, _scale(was)), f"{name}, {f}")
+                             for f, (x, y) in fields.items()))
+        lines += [f"  {name}: {f} {was[f]!r} -> {now[f]!r}"
+                  for f in ("status", "error", "note") if was[f] != now[f]]
+    if moves:
+        worst, name = max(moves)
+        lines.insert(0, f"  {len(moves)} of {len(old)} records moved, the largest by "
+                        f"{worst:.3g} u*M ({name})")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -222,8 +279,11 @@ def main(argv: list[str]) -> int:
             for (fmt, *was), (_, *now) in zip(*(_seen(src, path) for src in srcs)):
                 if was != now:
                     differ.append(f"{name} ({fmt}): exit {was[0]} -> {now[0]}")
-                    differ += [f"  {label} {_first_change(a, b)}" for label, a, b in
-                               (("stdout", was[1], now[1]), ("stderr", was[2], now[2])) if a != b]
+                    if was[1] != now[1]:
+                        differ += ((fmt == "json" and _record_moves(was[1], now[1]))
+                                   or [f"  stdout {_first_change(was[1], now[1])}"])
+                    if was[2] != now[2]:
+                        differ.append(f"  stderr {_first_change(was[2], now[2])}")
         print(f"{len(inputs)} inputs verified with {argv[0]} and with this checkout")
     print("\n".join(differ) if differ else "every report, exit code and stderr is the same")
     return 1 if differ else 0
