@@ -26,7 +26,8 @@ import os
 import sys
 
 from .errors import ScenarioError
-from .scenario import generate_scenarios, render_json, render_text, run_scenario_file
+from .scenario import (DEFAULT_TOL_FINITE, DEFAULT_TOL_GRID, generate_scenarios, render_json,
+                       render_text, run_scenario_file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tolerance", type=float, default=None, metavar="R",
         help="override the default discrepancy tolerance "
-        "(1e-10 finite support, 1e-6 grid)",
+        f"({DEFAULT_TOL_FINITE:g} finite support, {DEFAULT_TOL_GRID:g} grid)",
     )
     verify.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -19,7 +19,10 @@ normalized by ``exp(log_partition(-lam))``, and its free energy is
 and is the optimal value of ``E_P[h] + kl(P, Q)/lam`` over probability
 measures ``P`` (minimal for ``lam > 0``, maximal for ``lam < 0``), attained
 at ``G``.  A multiplicative-weights iteration recovers the optimum
-numerically and serves as an independent check of the closed form.
+numerically and serves as an independent check of the closed form.  It
+steps on the reference's atom masses, so one path serves every
+:class:`~gibbsgap.measures.Measure`: a grid is its point twin, whose
+masses are density times cell width.
 
 Every Gibbs measure here, in this module and in :mod:`gibbsgap.gaps`, comes
 from one tilt helper, ``_gibbs_tilts``: the cost rows at the tilts, against
@@ -47,7 +50,6 @@ from .errors import (
     RepresentationMismatch,
 )
 from .measures import (
-    FiniteMeasure,
     GridSupport,
     Measure,
     PointSupport,
@@ -400,10 +402,15 @@ def _normalize_rows(log_p: np.ndarray) -> None:
     log_p -= _logsumexp(log_p, axis=-1, keepdims=True)
 
 
-def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list:
+def _oracle_rows(h: CostTable, q: Measure, lams, x_indices, iters) -> list:
     """The variational oracle of every check at every tilt of ``lams``: check ``c`` at cost
     row ``x_indices[c]`` with at most ``iters[c]`` steps.  One row per check and tilt, all
     stepped in lockstep.
+
+    The rows step on atom masses, Q's log atoms plus the log of its support's base mass, and
+    the total variation sums them, so one path serves every :class:`Measure`: a grid is its
+    point twin, whose masses are density times cell width.  A row's log atoms are its log
+    masses less that log base mass.
 
     One :func:`_gibbs_tilts` call tilts every check's cost row at every tilt;
     the rows then step together, each frozen at its own certificate or stopped
@@ -419,9 +426,8 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     :class:`InfiniteLogPartition`, :class:`NonConvergence` or
     :class:`NonFiniteValue` (an ``E_P[h]`` past the largest float) raised there.
     """
-    if not isinstance(q, FiniteMeasure):
-        raise RepresentationMismatch("the variational oracle works on finite supports")
     h_rows, log_g, k_vals = _cost_tilts(h, q, lams, x_indices)
+    log_w = math.log(q.domain.base_mass)
     n_t = len(lams)
     col = np.array(lams * len(h_rows))[:, None]  # the tilt of each (check, tilt) row
     tol = np.minimum(1e-10, 2e-10 / np.abs(col[:, 0]))
@@ -430,7 +436,7 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
 
     live = q.log_density > -math.inf
     h_live = h_rows[:, live]  # on the atoms of Q
-    log_qa = q.log_density[live][None]
+    log_qa = q.log_density[live][None] + log_w  # Q's log atom masses
     rows = np.flatnonzero([row is None for row in out])  # the (check, tilt) of each row stepping
     log_p = np.repeat(log_qa - _logsumexp(log_qa), rows.size, axis=0)
     final, n_steps = np.empty((len(out), log_qa.shape[1])), [0] * len(out)
@@ -474,8 +480,8 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
     means = _mean_rows(h_live[[k // n_t for k in ok]], p)
     log_full = np.full((len(ok), live.size), -math.inf)  # on the full support
     log_full[:, live] = log_p
-    tvs = 0.5 * np.abs(np.exp(log_full) - np.exp(log_g[ok])).sum(axis=1)
-    for k, mean, div, log_pk, tv in zip(ok, means, _kl_rows(p, log_p, log_qa), log_full,
+    tvs = 0.5 * np.abs(np.exp(log_full) - np.exp(log_g[ok] + log_w)).sum(axis=1)
+    for k, mean, div, log_pk, tv in zip(ok, means, _kl_rows(p, log_p, log_qa), log_full - log_w,
                                         tvs.tolist(), strict=True):
         lam = lams[k % n_t]
         value, free_energy = mean + div / lam, -k_vals[k] / lam
@@ -492,17 +498,20 @@ def _oracle_rows(h: CostTable, q: FiniteMeasure, lams, x_indices, iters) -> list
 
 def variational_oracle(
     h: CostTable,
-    q: FiniteMeasure,
+    q: Measure,
     lam: float,
     x_index: int,
     iters: int = 800,
     seed: int = 0,
-) -> FiniteMeasure:
+) -> Measure:
     """Optimize ``E_P[h] + kl(P, Q)/lam`` by multiplicative weights.
 
-    Starts from ``q`` normalized and takes exponentiated-gradient steps
-    ``log p -= sign(lam) * (|lam|/2) * grad`` with ``grad = h + (log p -
-    log q + 1)/lam``; each step halves the distance to the optimum ``G``.
+    ``q`` is any :class:`Measure`, read as its atom masses (density times
+    cell width on a grid); the optimum is returned as a measure on ``q``'s
+    support object, a :class:`GridDensity` on a grid.  Starts from ``q``
+    normalized and takes exponentiated-gradient steps ``log p -= sign(lam)
+    * (|lam|/2) * grad`` with ``grad = h + (log p - log q + 1)/lam``, ``p``
+    and ``q`` atom masses; each step halves the distance to the optimum ``G``.
     It stops once the first-order residual ``r = max grad - min grad`` over
     the atoms of Q is at most ``min(1e-10, 2e-10/|lam|)``.  As ``log(P/G) =
     lam * grad + const``, this certifies against every competitor at once
@@ -521,10 +530,13 @@ def variational_oracle(
     :class:`~gibbsgap.errors.NonConvergence` of ``iters`` steps at once:
     the same residual and message.  It looks for such a state every 8 steps
     past step 64, where most rows that certify have stopped.  ``seed`` is kept for existing callers
-    and no longer affects the result.  Finite-support references only.
-    This is the one-check, one-tilt case of the scenario runner's oracle,
-    which steps every oracle check of a scenario at all its tilts as rows
-    of one loop.
+    and no longer affects the result.  An ``iters`` that is negative, a bool
+    or not an integer raises :class:`ValueError`.  This is the one-check,
+    one-tilt case of the scenario runner's oracle, which steps every oracle
+    check of a scenario at all its tilts as rows of one loop.
     """
-    row = _one_tilt(_oracle_rows(h, q, [_require_lambda(lam)], [x_index], [iters])[0])
+    lam = _require_lambda(lam)
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise ValueError(f"iters must be a nonnegative integer, got {iters!r}")
+    row = _one_tilt(_oracle_rows(h, q, [lam], [x_index], [iters])[0])
     return _derived(q.domain, True, log_density=_freeze(row.log_p))

@@ -27,6 +27,7 @@ from gibbsgap import (
     marginal_y,
     mutual_information,
     shannon_entropy,
+    variational_oracle,
 )
 from gibbsgap.measures import GridSupport
 
@@ -88,6 +89,9 @@ def _contract_calls() -> dict:
         "PointSupport of a 3-D array": (
             lambda: PointSupport([[[0.0]]]), ValueError,
             "support points must be scalars or vectors, got ndim=3"),
+        **{f"variational_oracle with iters={bad!r}": (
+            lambda bad=bad: variational_oracle(h, q, 1.0, 0, iters=bad), ValueError,
+            f"iters must be a nonnegative integer, got {bad!r}") for bad in (-1, 2.5, True)},
     }
 
 

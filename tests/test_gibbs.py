@@ -13,11 +13,13 @@ from hypothesis.extra import numpy as hnp
 from gibbsgap import (
     CostTable,
     GibbsResult,
+    GridDensity,
     IndexMismatch,
     InfiniteLogPartition,
     NonConvergence,
     NonFiniteValue,
     RepresentationMismatch,
+    atom_masses,
     counting_measure,
     expectation,
     free_energy_identities,
@@ -417,11 +419,24 @@ def test_oracle_flags_non_convergence_honestly():
         variational_oracle(h, q, 2.0, 0, iters=1, seed=0)
 
 
-def test_oracle_requires_finite_support():
+@pytest.mark.parametrize("lam", [0.5, -2.0, 7.0])
+def test_the_oracle_on_a_grid_is_the_oracle_on_its_counting_twin(lam):
+    # Lebesgue measure on 4 cells of width 1/4 is the counting measure on their midpoints
+    # times 1/4: the oracle reads both as the same atom masses
     grid_ref = lebesgue_grid(0.0, 1.0, 4)
-    h = CostTable.on_grid([[0.0]], 0.0, 1.0, 4, [np.ones(4)])
-    with pytest.raises(RepresentationMismatch):
-        variational_oracle(h, grid_ref, 1.0, 0)
+    cost = [[0.0, 1.0, -0.5, 2.0]]
+    h = CostTable.on_grid([[0.0]], 0.0, 1.0, 4, cost)
+    twin = make_finite_measure(grid_ref.domain.points, np.full(4, 0.25))
+    h_twin = CostTable.on_support([[0.0]], twin.domain, cost)
+    opt = variational_oracle(h, grid_ref, lam, 0)
+    opt_twin = variational_oracle(h_twin, twin, lam, 0)
+    assert isinstance(opt, GridDensity) and opt.domain is grid_ref.domain and opt.is_probability
+    assert np.abs(atom_masses(opt) - opt_twin.weights).max() <= 1e-15
+    g = gibbs_tilt(h, grid_ref, lam, 0).measure
+    assert 0.5 * np.abs(atom_masses(opt) - atom_masses(g)).sum() <= 1e-5
+    ((row,),), ((row_twin,),) = (_oracle_rows(*hq, [lam], [0], [800])
+                                 for hq in ((h, grid_ref), (h_twin, twin)))
+    assert abs(row.total_variation - row_twin.total_variation) <= 1e-15
 
 
 def test_oracle_keeps_reference_null_points_null():

@@ -7,6 +7,8 @@ near 0, a difference of such sums, carries their rounding.
 * Swapping P1 and P2 negates every single-point gap.
 * A grid scenario equals its point twin: the same costs on the cell midpoints, with the
   reference and family rows multiplied by the cell width, so that every atom keeps its mass.
+  The variational oracle, which reads the reference as atom masses, ends each row the same
+  way on both, after the same number of steps.
 * Scaling the reference, ``Q -> c Q``, leaves every gap unchanged and shifts ``log Z`` by
   ``log c``, and so the free energy by ``-log c / lam``.
 * Translating each cost row, ``h -> h + a(x)``, leaves every gap and every Gibbs tilt
@@ -14,6 +16,7 @@ near 0, a difference of such sums, carries their rounding.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from gibbsgap import (
     CostTable,
+    GibbsGapError,
     atom_masses,
     gap_closed_form,
     gap_closed_form_relative,
@@ -29,6 +33,7 @@ from gibbsgap import (
     make_finite_measure,
     run_scenario,
 )
+from gibbsgap import scenario
 from gibbsgap.scenario import _build_scenario
 
 U = 2.0**-53
@@ -106,8 +111,8 @@ _OPS = [
 
 @st.composite
 def grid_docs(draw):
-    """A grid scenario of at most 4 x 12 cells whose cell width is far from 1, with every op
-    but the oracle, which works on finite supports only."""
+    """A grid scenario of at most 4 x 12 cells whose cell width is far from 1, with the ops of
+    ``_OPS``: every op but the oracle, which has a twin test of its own."""
     n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = draw(st.sampled_from([draw(st.floats(0.1, 0.5)), draw(st.floats(2.0, 8.0))]))
@@ -155,6 +160,36 @@ def test_a_grid_scenario_equals_its_point_twin(doc):
             assert abs(a[field] - b[field]) <= bound, (a, b)
         for name, value in a["terms"].items():
             assert abs(value - b["terms"][name]) <= bound, (name, a, b)
+
+
+_ORACLE = scenario._OPS["variational_oracle"]
+
+
+def _end(outcome) -> tuple:
+    """How an oracle row ended: certified, or its error and the step count its message ends
+    with."""
+    if isinstance(outcome, GibbsGapError):
+        return type(outcome).__name__, str(outcome).rpartition(" after ")[2]
+    return ("certified",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=grid_docs(), iters=st.integers(1, 60),
+       lam=st.sampled_from([800.0, -800.0, 1e300, -1e300]))
+def test_the_oracle_on_a_grid_is_the_oracle_on_its_point_twin(doc, iters, lam):
+    # Each row certifies on both or ends on both after the same steps, at the doc's two
+    # moderate tilts and at an extreme one.  A certified objective is within its tolerance
+    # of its own optimum, and the two optima are one value.
+    doc = {**doc, "lambdas": [*doc["lambdas"], lam]}
+    checks = [{"x_index": x, "iters": iters} for x in range(len(doc["x_points"]))]
+    grid, points = (_ORACLE.run(scn, checks, scn.lambdas)
+                    for scn in map(_build_scenario, (doc, _point_twin(doc))))
+    for a, b, t in zip(chain(*grid), chain(*points), doc["lambdas"] * len(checks), strict=True):
+        assert _end(a) == _end(b), (t, a, b)
+        if isinstance(a, dict):
+            bound = _bound(a, b)
+            assert abs(a["closed_form"] - b["closed_form"]) <= bound, (t, a, b)
+            assert abs(a["direct"] - b["direct"]) <= bound + min(1e-10, 2e-10 / abs(t)), (t, a, b)
 
 
 # ---------------------------------------------------------------------------

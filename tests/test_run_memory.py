@@ -17,7 +17,7 @@ from gibbsgap.scenario import load_scenario, run_scenario
 
 def _scenario_file(path, n_x, n_y, grid):
     """A scenario given in numbers only, every point carrying X-mass, with the ten ops of
-    ``gibbsgap generate`` (the oracle on points only)."""
+    ``gibbsgap generate``."""
     rng = random.Random(20250)
 
     def row():
@@ -29,10 +29,9 @@ def _scenario_file(path, n_x, n_y, grid):
     else:
         doc["y_support"] = [[float(j)] for j in range(n_y)]
     pair = {"p1": "f1", "p2": "f2"}
-    ops = [{"op": "free_energy_identities", "x_index": 1}]
-    if not grid:
-        ops.append({"op": "variational_oracle", "x_index": 0})
-    ops += [
+    ops = [
+        {"op": "free_energy_identities", "x_index": 1},
+        {"op": "variational_oracle", "x_index": 0},
         {"op": "gap_closed_form", "x_index": 0, **pair},
         {"op": "gap_closed_form_relative", "x_index": 1, **pair, "direction": "P2-ref"},
         {"op": "gap_closed_form_relative", "x_index": 0, **pair, "direction": "P1-ref"},
@@ -120,7 +119,7 @@ def test_each_op_group_of_a_long_row_run_stays_within_five_matrices(tmp_path, mo
     # peak memory of the whole verify.  A TwoSum cascade's one matrix of workspace took the
     # widest group, the expected common-reference gap, to 5.22.
     peaks = _op_group_peaks(tmp_path / "s.json", monkeypatch, 8, 20_000, grid=True)
-    assert len(peaks) == 8
+    assert len(peaks) == 9
     assert max(peaks.values()) <= 5.0, {name: round(p, 2) for name, p in peaks.items()}
 
 

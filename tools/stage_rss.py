@@ -19,6 +19,14 @@ shows which op lifts the peak above the load.  Every figure is the median
 of ``N`` runs (default 5), in MB.  Uses the standard library and the
 package only; pass another checkout's ``src/`` as ``DIR`` to compare two
 revisions on one host.
+
+``ru_maxrss`` counts the heap that the allocator keeps, not only what the
+program holds, so the table has a floor: the glibc arenas left by the import
+alone differed by 0.45 MB between two trees, and a stage-level difference
+under about 1.3 MB between two trees says nothing about their allocations.
+Use it to see which stage or op group lifts the peak; for any claim about
+allocations, read the ``tracemalloc`` op-group peaks of
+``tests/test_run_memory.py``, which repeat byte for byte.
 """
 
 from __future__ import annotations
