@@ -90,19 +90,17 @@ def _run(args) -> int:
             while view:
                 view = view[out.write(view):]
         return code
-    if args.command == "generate":
-        try:
-            paths = generate_scenarios(args.seed, args.nx, args.ny, args.count, args.out)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
-        for p in paths:
-            print(p)
-        return 0
-    return 2  # unreachable: argparse enforces a command
+    try:  # generate, the one other command argparse lets through
+        paths = generate_scenarios(args.seed, args.nx, args.ny, args.count, args.out)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        return 2
+    for p in paths:
+        print(p)
+    return 0
 
 
 if __name__ == "__main__":

@@ -297,18 +297,12 @@ def _scan(read: Callable[[int], str], whole: Callable[[], str]):
     return json.loads(whole())
 
 
-def _parse(text: str):
-    """``json.loads(text)``, scanned as one chunk."""
-    chunks = iter((text,))
-    return _scan(lambda n: next(chunks, ""), lambda: text)
-
-
 def _read(f):
     """``json.loads(f.read())`` of the text stream ``f``, scanned ``_CHUNK`` characters at a
     time; the fallback seeks back and reads it whole.  A stream that cannot seek, such as a
-    pipe, is read whole at once and never opened again."""
+    pipe, is read whole at once and parsed by ``json.loads``, the scan's own fallback."""
     if not f.seekable():
-        return _parse(f.read())
+        return json.loads(f.read())
 
     def whole() -> str:
         f.seek(0)
@@ -453,15 +447,15 @@ def _build_scenario(doc: dict) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# the op table: each op's identity tag, parameters and runner, declared once.
-# A runner receives every check of its op and all the tilts, and returns per
-# check one outcome per tilt.  The oracle and the free-energy identities step
-# all (check, tilt) rows in one kernel call; a gap runner makes one kernel
-# call per check.  The error of a tilt stays at its tilt; an error a check
-# raises before any tilt is the outcome at each of its tilts, and one the
-# runner raises is that of every check.  Parameters are validated against
-# ``_PARAMS`` at load time, so a runner meets only the library's errors, and
-# those are check outcomes.
+# the op table: each op's identity tag, parameters, runner and record fields,
+# declared once.  A runner receives every check of its op and all the tilts,
+# and returns per check its kernel's outcome at each tilt.  The oracle and the
+# free-energy identities step all (check, tilt) rows in one kernel call; a gap
+# runner makes one kernel call per check.  The error of a tilt stays at its
+# tilt; an error a check raises before any tilt is the outcome at each of its
+# tilts, and one the runner raises is that of every check.  Parameters are
+# validated against ``_PARAMS`` at load time, so a runner meets only the
+# library's errors, and those are check outcomes.
 
 #: Largest oracle ``iters`` a check may ask for.  The oracle halves its
 #: distance to the optimum on every step and certifies within tens of steps;
@@ -522,16 +516,10 @@ def _pair(p: dict) -> tuple[int, Measure, Measure]:
     return xi, p["p1"][xi], p["p2"][xi]
 
 
-def _free_energy(scn: Scenario, ps: list, lams) -> list:
-    """The free-energy identities of every check at every tilt in one call: a row carries its
-    split and its log-partition value."""
-    checks = _free_energy_rows(scn.cost, scn.reference, lams, [p["x_index"] for p in ps])
-    return [[row if isinstance(row, GibbsGapError) else _split_fields(*row) for row in rows]
-            for rows in checks]
-
-
-def _split_fields(split, log_partition: float) -> dict[str, Any]:
-    """Record fields of a :class:`~gibbsgap.gibbs.FreeEnergySplit`."""
+def _split_fields(row) -> dict[str, Any]:
+    """Record fields of a free-energy row: a :class:`~gibbsgap.gibbs.FreeEnergySplit` and its
+    log-partition value."""
+    split, log_partition = row
     terms = {"via_gibbs": split.via_gibbs, "log_partition": log_partition}
     if split.via_reference is not None:
         terms["via_reference"] = split.via_reference
@@ -545,36 +533,34 @@ def _split_fields(split, log_partition: float) -> dict[str, Any]:
     }
 
 
-def _oracle(scn: Scenario, ps: list, lams) -> list:
-    """The oracle of every check at every tilt in one call: its rows carry the objective and
-    the tilt that the record compares."""
-    checks = _oracle_rows(scn.cost, scn.reference, lams, [p["x_index"] for p in ps],
-                          [p["iters"] for p in ps])
-    return [[row if isinstance(row, GibbsGapError) else {
+def _oracle_fields(row) -> dict[str, Any]:
+    """Record fields of an oracle row: the objective and the free energy it is compared to."""
+    return {
         "direct": row.objective,
         "closed_form": row.free_energy,
         "discrepancy": abs(row.objective - row.free_energy),
         "terms": {"objective": row.objective, "total_variation": row.total_variation},
-    } for row in rows] for rows in checks]
+    }
 
 
 class _Op(NamedTuple):
-    """An op of the runner: its identity tag, its parameters and the runner of its checks."""
+    """An op of the runner: its identity tag, its parameters, the runner of its checks and the
+    record fields of its kernel's values."""
 
     tag: str
     params: tuple[str, ...]
     # (scenario, the params of each check, lambdas) -> per check, one outcome per lambda (the
-    # record fields or the GibbsGapError raised at that lambda) or the GibbsGapError raised
+    # kernel's value or the GibbsGapError raised at that lambda) or the GibbsGapError raised
     # before any lambda; a GibbsGapError it raises is the outcome of each check
     run: Callable[[Scenario, list, tuple[float, ...]], list]
+    fields: Callable[[Any], dict[str, Any]]
 
 
 def _gap_op(tag: str, params: tuple[str, ...], gaps) -> _Op:
     """The op that maps the decomposition kernel ``gaps(scn, params, lambdas)`` over its
     checks, each keeping the error it raises before any tilt."""
-    def one(scn: Scenario, p: dict, lams) -> list:
-        return [d if isinstance(d, GibbsGapError) else _fields(d) for d in gaps(scn, p, lams)]
-    return _Op(tag, params, lambda scn, ps, lams: [_outcome(one, scn, p, lams) for p in ps])
+    return _Op(tag, params, lambda scn, ps, lams: [_outcome(gaps, scn, p, lams) for p in ps],
+               _fields)
 
 
 _OPS = {
@@ -608,8 +594,13 @@ _OPS = {
         "gibbs-marginal-gap", (),
         lambda scn, p, lams: _gibbs_marginal(scn.cost, scn.reference, lams, scn.p_x),
     ),
-    "free_energy_identities": _Op("free-energy", ("x_index",), _free_energy),
-    "variational_oracle": _Op("variational-optimum", ("x_index", "iters", "seed"), _oracle),
+    "free_energy_identities": _Op(
+        "free-energy", ("x_index",), lambda scn, ps, lams: _free_energy_rows(
+            scn.cost, scn.reference, lams, [p["x_index"] for p in ps]), _split_fields),
+    "variational_oracle": _Op(
+        "variational-optimum", ("x_index", "iters", "seed"), lambda scn, ps, lams: _oracle_rows(
+            scn.cost, scn.reference, lams, [p["x_index"] for p in ps], [p["iters"] for p in ps]),
+        _oracle_fields),
 }
 
 
@@ -667,6 +658,11 @@ def _parse_check(c, index: int, n_x: int, families: dict) -> Check:
 # running
 
 
+def _each(outcome, n: int) -> list:
+    """``outcome``, a list of ``n``, or the error raised before any of them, ``n`` times."""
+    return [outcome] * n if isinstance(outcome, GibbsGapError) else outcome
+
+
 def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, Any]:
     """Run every check at all its lambdas, the checks of each op in one kernel call; return
     the report, one record per (check, lambda) in declaration order, as a plain dict."""
@@ -674,24 +670,25 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
     groups: dict[str, list[int]] = {}  # the checks of each op, in declaration order
     for i, check in enumerate(scn.checks):
         groups.setdefault(check.op, []).append(i)
-    outcomes: list = [None] * len(scn.checks)
+    fields: list = [None] * len(scn.checks)  # per check, the record fields at each tilt
     for op_name, members in groups.items():
-        try:
-            results = _OPS[op_name].run(scn, [scn.checks[i].params for i in members], scn.lambdas)
-        except GibbsGapError as e:  # raised before any check's tilt, so the outcome of each
-            results = [e.with_traceback(None)] * len(members)
+        op = _OPS[op_name]
+        results = _each(_outcome(op.run, scn, [scn.checks[i].params for i in members],
+                                 scn.lambdas), len(members))
         for i, result in zip(members, results, strict=True):
-            outcomes[i] = ([result] * len(scn.lambdas) if isinstance(result, GibbsGapError)
-                           else result)
+            fields[i] = [{"error": type(v).__name__, "note": str(v)}
+                         if isinstance(v, GibbsGapError) else op.fields(v)
+                         for v in _each(result, len(scn.lambdas))]
+        del results, result  # an oracle row holds a view of its group's whole tilt matrix
     records = []
     n_pass = 0
-    for check, check_outcomes in zip(scn.checks, outcomes):
+    for check, check_fields in zip(scn.checks, fields):
         tol = check.tolerance if check.tolerance is not None else (
             tolerance if tolerance is not None else
             (DEFAULT_TOL_GRID if scn.is_grid else DEFAULT_TOL_FINITE)
         )
         op = _OPS[check.op]
-        for lam, outcome in zip(scn.lambdas, check_outcomes, strict=True):
+        for lam, tilt_fields in zip(scn.lambdas, check_fields, strict=True):
             rec: dict[str, Any] = {
                 "check": check.label,
                 "identity": op.tag,
@@ -704,11 +701,7 @@ def run_scenario(scn: Scenario, tolerance: Optional[float] = None) -> dict[str, 
                 "error": None,
                 "note": None,
             }
-            if isinstance(outcome, GibbsGapError):
-                rec["error"] = type(outcome).__name__
-                rec["note"] = str(outcome)
-            else:
-                rec.update(outcome)
+            rec.update(tilt_fields)
             expect, error = check.expect_error, rec["error"]
             if expect is None and error is None:
                 rec["status"] = "pass" if rec["discrepancy"] <= tol else "fail"

@@ -524,10 +524,12 @@ def _contract_calls() -> dict:
     h_elsewhere = CostTable.on_support([[5.0], [6.0]], PTS, [[0.0, 1.0], [1.0, 0.0]])
     h_here = CostTable.on_support(y_points(2), PTS, [[0.0, 1.0], [1.0, 0.0]])
     half = make_finite_measure(PTS, (0.5, 0.0))  # mass 1/2
+    half_x = make_finite_measure(y_points(2), (0.25, 0.25))  # mass 1/2
     other = counting_measure([[0.0], [2.0]])  # on another Y-support
     even = make_finite_measure([[0.0], [2.0]], (0.5, 0.5))
     points = "the cost table's conditioning points must equal the "
     not_probability = (NonProbabilityMeasure, "kl(p, q) requires p to be a probability")
+    not_probability_x = (NonProbabilityMeasure, "the X-marginal must be a probability measure")
     direction = (ValueError, "direction must be 'P2-ref' or 'P1-ref', got 'sideways'")
     foreign = (RepresentationMismatch, "measure does not live on the cost table's Y-representation")
     return {
@@ -555,6 +557,10 @@ def _contract_calls() -> dict:
             *not_probability),
         "gap_mixture_reference, p1 of mass 1/2": (
             lambda: gap_mixture_reference(H01, 0, half, P_AT_1, 0.5, 1.0), *not_probability),
+        "marginal_gap, p_x of mass 1/2": (
+            lambda: marginal_gap(h_here, fam, half_x, q, 1.0), *not_probability_x),
+        "gibbs_marginal_gap, p_x of mass 1/2": (
+            lambda: gibbs_marginal_gap(h_here, q, 1.0, half_x), *not_probability_x),
         "gap_closed_form_relative, bad direction": (
             lambda: gap_closed_form_relative(H01, 0, P_AT_0, P_AT_1, "sideways", 1.0), *direction),
         "expected_gap_relative, bad direction": (

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from gibbsgap import (
     ScenarioError,
+    counting_measure,
     generate_scenarios,
     load_scenario,
     make_finite_measure,
     render_json,
     render_text,
+    run_scenario,
     run_scenario_file,
 )
 from gibbsgap.cli import main
@@ -601,6 +604,13 @@ def test_generate_rejects_bad_counts(tmp_path):
         generate_scenarios(1, nx=0, ny=3, count=1, out_dir=tmp_path)
 
 
+def test_cli_generate_of_a_bad_count_exits_2_with_one_line_and_writes_nothing(tmp_path):
+    out_dir = tmp_path / "out"
+    code = _cli("generate", "--seed", 1, "--nx", 0, "--ny", 2, "--count", 1, "--out", out_dir)
+    assert code == (2, "", "error: nx, ny and count must all be >= 1\n")
+    assert not out_dir.exists()
+
+
 def test_cli_generate_writes_and_reports_paths(tmp_path):
     code, out, _ = _cli(
         "generate", "--seed", 3, "--nx", 2, "--ny", 4, "--count", 2, "--out", tmp_path
@@ -672,6 +682,24 @@ def test_an_overflowing_expectation_is_a_record_not_a_traceback():
     ]
 
 
+def test_an_error_an_op_group_raises_before_any_check_is_the_record_of_each():
+    # a reference on three points against a cost table on two: the free-energy and oracle
+    # groups raise before any check, each gap op that reads the reference before any tilt
+    # of its check; the relative and mixture forms read no reference and pass
+    scn = dataclasses.replace(load_scenario(TWO_POINT), lambdas=(0.5, -2.0),
+                              reference=counting_measure([[0.0], [1.0], [2.0]]))
+    records = run_scenario(scn)["records"]
+    assert len(records) == 2 * len(scn.checks) == 18
+    mismatch = ("unexpected-error", "RepresentationMismatch",
+                "measure does not live on the cost table's Y-representation")
+    free = {"gap-mixture-reference", "gap-relative-reference", "expected-gap-relative-reference"}
+    assert {(r["identity"], r["status"], r["error"], r["note"]) for r in records} == {
+        *((tag, *mismatch) for tag in ("free-energy", "variational-optimum",
+                                       "gap-common-reference", "expected-gap-common-reference",
+                                       "marginal-gap-information", "gibbs-marginal-gap")),
+        *((tag, "pass", None, None) for tag in free)}
+
+
 _MAX = 1.7976931348623157e308
 
 
@@ -725,9 +753,11 @@ def test_a_grid_row_rescaled_past_the_largest_float_exits_2_with_one_line(tmp_pa
         (lambda d: d["pairs"].insert(0, ["gap_closed_form"]), "pairs[0]: each check must be an object"),
         (lambda d: d.update(x_points=[0, 1], cost=[[0, 1], [1]]),
          "cost[1]: 1 values, but cost[0] has 2"),
+        (lambda d: d.update(x_points=5), "x_points: expected a non-empty list of points"),
+        (lambda d: d["pairs"][0].update(name=5), "pairs[0]: 'name' must be a string"),
     ],
     ids=["y_grid-not-an-object", "lebesgue-on-points", "no-pairs", "check-not-an-object",
-         "ragged-cost"],
+         "ragged-cost", "x_points-not-a-list", "label-not-a-string"],
 )
 def test_a_loader_exit_names_its_fault(tmp_path, mutate, message):
     doc = json.loads(TWO_POINT.read_text())

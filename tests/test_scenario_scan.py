@@ -162,7 +162,8 @@ def _scanned(text, chunk):
     """The loader's document of ``text``: scanned as one chunk (``chunk`` None), or read from
     a stream ``chunk`` characters at a time."""
     if chunk is None:
-        return scenario._parse(text)
+        chunks = iter((text,))
+        return scenario._scan(lambda n: next(chunks, ""), lambda: text)
     with mock.patch.object(scenario, "_CHUNK", chunk):
         return scenario._read(io.StringIO(text))
 

@@ -38,7 +38,7 @@ from gibbsgap import (
     run_scenario,
 )
 from gibbsgap import scenario
-from gibbsgap.scenario import _OPS, _Op, _build_scenario, _fields, _pair, _split_fields
+from gibbsgap.scenario import _OPS, _build_scenario, _pair
 
 # ---------------------------------------------------------------------------
 # the per-tilt reference
@@ -62,8 +62,7 @@ def _per_tilt(run):
 
 def _free_energy_at(scn, p, lam):
     g = gibbs_tilt(scn.cost, scn.reference, lam, p["x_index"])
-    return _split_fields(free_energy_identities(g, scn.cost, scn.reference, p["x_index"]),
-                         g.log_partition)
+    return free_energy_identities(g, scn.cost, scn.reference, p["x_index"]), g.log_partition
 
 
 _PUBLIC = {
@@ -85,9 +84,7 @@ _PUBLIC = {
 ORACLE = _OPS["variational_oracle"]
 #: The op table of one public call per tilt; the oracle keeps its one-tilt call.
 REFERENCE_OPS = {
-    **{name: _Op(_OPS[name].tag, _OPS[name].params,
-                 _per_tilt(lambda scn, p, lam, gap=gap: _fields(gap(scn, p, lam))))
-       for name, gap in _PUBLIC.items()},
+    **{name: _OPS[name]._replace(run=_per_tilt(gap)) for name, gap in _PUBLIC.items()},
     "free_energy_identities": _OPS["free_energy_identities"]._replace(run=_per_tilt(_free_energy_at)),
     "variational_oracle": ORACLE._replace(
         run=lambda scn, ps, lams: [[ORACLE.run(scn, [p], [lam])[0][0] for lam in lams]

@@ -13,6 +13,10 @@ and in text, on a fixed input set (and on each ``FILE`` given):
   with CRLF line ends, and one with a byte that is no UTF-8 at byte 70,000, past the
   loader's first chunk, so that line ends and the decoding message cross chunk
   boundaries;
+* ``invalid.json``, a document that is not JSON (``INVALID``);
+* through a pipe, as ``verify /dev/stdin``, so that the loader takes the path of a stream
+  that cannot seek: the ``wide-finite`` file at seed 911, its CRLF and bad-byte copies,
+  and ``invalid.json``;
 * ``gibbsgap generate --seed 7`` at 4x8x5 and 16x32x3 (written by ``REV``'s
   tree; the generated bytes of both trees are compared too);
 * the one-fault documents of ``FAULTS``, written into the temporary directory, which
@@ -71,6 +75,7 @@ POINTS = {
     "pairs": [{"op": "gap_closed_form", "x_index": 0, "p1": "f", "p2": "f"}],
 }
 DROP = "<drop>"
+INVALID = '{"schema": 1, "name": "x",, }'  # a doubled comma
 GRID = {**POINTS, "y_support": DROP, "y_grid": {"lo": 0.0, "hi": 2.0, "n_cells": 2},
         "reference": "lebesgue"}
 
@@ -138,9 +143,9 @@ def _unpack(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def _gibbsgap(src: Path, *args: str) -> subprocess.CompletedProcess:
+def _gibbsgap(src: Path, *args: str, stdin: bytes | None = None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "gibbsgap.cli", *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=ROOT)
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=ROOT, input=stdin)
 
 
 def _workload_files(out_dir: Path) -> list[Path]:
@@ -189,11 +194,13 @@ def _generated(srcs: list[Path], out_dir: Path) -> tuple[list[Path], list[str]]:
     return files, differ
 
 
-def _seen(src: Path, path: Path) -> list:
-    """What ``verify`` shows of ``path`` in JSON and in text, with its timing removed."""
+def _seen(src: Path, path: Path, piped: bool) -> list:
+    """What ``verify`` shows of ``path``, or of ``/dev/stdin`` with ``path``'s bytes piped in,
+    in JSON and in text, with its timing removed."""
     seen = []
     for fmt in ("json", "text"):
-        run = _gibbsgap(src, "verify", "--format", fmt, str(path))
+        run = (_gibbsgap(src, "verify", "--format", fmt, "/dev/stdin", stdin=path.read_bytes())
+               if piped else _gibbsgap(src, "verify", "--format", fmt, str(path)))
         out = re.sub(rb',\n *"wall_time_s": [^\n]*', b"", run.stdout)  # the last key
         out = re.sub(rb"\(\d+\.\d+s\)\n$", b"", out)
         seen.append((fmt, run.returncode, out, run.stderr.replace(bytes(src), b"<src>")))
@@ -271,12 +278,17 @@ def main(argv: list[str]) -> int:
                   *sorted(p for p in (ROOT / "tests" / "data").glob("*.json")
                           if not p.name.endswith(".report.json")),
                   *_workload_files(tmp / "workloads"), *_fault_files(tmp / "faults")]
-        inputs += _text_files(tmp / "workloads" / "wide-finite-911.json", tmp)
+        wide, invalid = tmp / "workloads" / "wide-finite-911.json", tmp / "invalid.json"
+        invalid.write_text(INVALID)
+        piped = [wide, *_text_files(wide, tmp), invalid]
         generated, differ = _generated(srcs, tmp)
-        inputs = list(dict.fromkeys([*inputs, *generated, *(Path(a).resolve() for a in argv[1:])]))
-        for path in inputs:
+        inputs = list(dict.fromkeys([*inputs, *piped, *generated,
+                                     *(Path(a).resolve() for a in argv[1:])]))
+        runs = [(path, False) for path in inputs] + [(path, True) for path in piped]
+        for path, pipe in runs:
             name = next((path.relative_to(d) for d in (tmp, ROOT) if d in path.parents), path)
-            for (fmt, *was), (_, *now) in zip(*(_seen(src, path) for src in srcs)):
+            name = f"{name} via stdin" if pipe else name
+            for (fmt, *was), (_, *now) in zip(*(_seen(src, path, pipe) for src in srcs)):
                 if was != now:
                     differ.append(f"{name} ({fmt}): exit {was[0]} -> {now[0]}")
                     if was[1] != now[1]:
@@ -284,7 +296,8 @@ def main(argv: list[str]) -> int:
                                    or [f"  stdout {_first_change(was[1], now[1])}"])
                     if was[2] != now[2]:
                         differ.append(f"  stderr {_first_change(was[2], now[2])}")
-        print(f"{len(inputs)} inputs verified with {argv[0]} and with this checkout")
+        print(f"{len(inputs)} inputs, {len(piped)} of them also piped, verified with {argv[0]} "
+              "and with this checkout")
     print("\n".join(differ) if differ else "every report, exit code and stderr is the same")
     return 1 if differ else 0
 
