@@ -119,7 +119,7 @@ def _members(cond: ConditionalFamily, p_x: FiniteMeasure, what: str):
     if not p_x.is_probability:
         raise NonProbabilityMeasure(f"{what} needs a probability X-marginal")
     _, weights, (members,) = _live_rows(p_x, cond)
-    return weights, members
+    return weights, members.at(slice(None))
 
 
 def conditional_entropy(cond: ConditionalFamily, p_x: FiniteMeasure) -> float:

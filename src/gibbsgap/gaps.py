@@ -32,18 +32,23 @@ kernel at all the tilts of a call.  The entry names the law it tilts, its
 terms, its closed form and its tag; the kernel holds no case of its own.
 The laws are stacked one row per conditioning point, the named law is
 tilted by the one tilt helper of :mod:`gibbsgap.gibbs` when a term needs
-the tilt, and each term is a pairwise per-row sum.  The inputs are
-checked, and the direct value and the terms that do not name the Gibbs
-measure are summed, once, before the first tilt; the Gibbs terms are
-summed at each tilt.  A single conditioning point is the one-row case, and
-its tilts are stacked as the rows of one sum; the averaged and marginal
-forms are ``p_x``-weighted sums, by ``math.fsum``, of the per-row values
-over the points carrying X-mass, tilted one tilt at a time.  The kernel
-loops over these tilt blocks itself: it tilts a block, sums each Gibbs term
-over every row of it, reads each tilt's rows and error as every
-``len(block)``-th row, and frees the block before it tilts the next.  The
+the tilt, and each term is a pairwise per-row sum.  The kernel reads the
+rows in one pass, in blocks of at most ``2**15`` floats a matrix (one row
+if a row is wider): each block derives its laws' log atoms and atom masses
+from whichever views they hold, is checked, and has its direct value, its
+terms that do not name the Gibbs measure and, at each tilt, its Gibbs terms
+summed per row before the next block is read.  A single conditioning point
+is the one-row case, and its tilts are stacked as the rows of one sum; the
+averaged and marginal forms are ``p_x``-weighted sums, by ``math.fsum``, of
+the per-row values over the points carrying X-mass, a block tilted one tilt
+at a time.  The kernel loops over these tilt blocks itself: it tilts a
+block, sums each Gibbs term over every row of it, reads each tilt's rows and
+error as every ``len(block)``-th row, and frees the block before it tilts
+the next.  The reductions over rows run in row order, so the first row that
+fails names the error and a report does not depend on the block size.  The
 Gibbs-family marginal tilts only the rows carrying X-mass to build its
-family, as the other averaged forms tilt only those.  Each public function checks its tilt and
+family, a block at a time into one matrix of log atoms, as the other
+averaged forms tilt only those.  Each public function checks its tilt and
 is the one-tilt case of its kernel.
 
 Infinities never silently cancel: absolute-continuity hypotheses are
@@ -77,14 +82,16 @@ from .measures import (
     FiniteMeasure,
     Measure,
     _at,
-    _atom_masses,
     _average,
+    _blocks,
     _escapes,
     _live_rows,
     _mean_rows,
     _mixture,
+    _once,
     _row,
     _Rows,
+    _Stack,
     mix,
     require_same_representation,
 )
@@ -134,10 +141,10 @@ class GapDecomposition:
 # ``lam_gap(terms)``; a term ``(a, b, c)`` sums, row by row, the atom masses of
 # law ``a`` times ``log b - log c`` over the atoms of ``b``, so ``(a, a, c)`` is
 # ``kl(a, c)``.  The laws are ``p1``, ``p2``, ``ref`` and ``gibbs``, the tilt
-# of the law named by ``reference``; the ``dominated`` laws must be absolutely
-# continuous w.r.t. it.  A law is tilted only if a term names ``gibbs``.  Each
-# form is its identity alone: the mixture is ``_COMMON`` with its own tag, and
-# the Gibbs marginal names the family, its own tilt, where the marginal names
+# of the law named by ``reference``.  A law is tilted only if a term names
+# ``gibbs``.  Each form is its identity alone, with the continuity checks that
+# its hypotheses need: the mixture is ``_COMMON`` with its own tag, and the
+# Gibbs marginal names the family, its own tilt, where the marginal names
 # ``gibbs``.
 
 
@@ -148,7 +155,6 @@ class _Identity(NamedTuple):
     lam_gap: Callable[[Mapping[str, float]], float]
     tag: str
     reference: str = "ref"
-    dominated: tuple[str, ...] = ("p1", "p2")
 
 
 _TILT_TERMS = {"kl_p1_gibbs": ("p1", "p1", "gibbs"), "kl_p2_gibbs": ("p2", "p2", "gibbs")}
@@ -163,14 +169,12 @@ _RELATIVE = {
         lambda t: t["kl_p1_gibbs"] - t["kl_p2_gibbs"] - t["kl_p1_p2"],
         "P2-as-reference",
         reference="p2",
-        dominated=("p1",),
     ),
     "P1-ref": _Identity(
         {**_TILT_TERMS, "kl_p2_p1": ("p2", "p2", "p1")},
         lambda t: t["kl_p1_gibbs"] - t["kl_p2_gibbs"] + t["kl_p2_p1"],
         "P1-as-reference",
         reference="p1",
-        dominated=("p2",),
     ),
 }
 # ``p1`` is the Y-marginal and ``p2`` the conditional family
@@ -183,7 +187,6 @@ _MARGINAL = _Identity(
     },
     lambda t: t["mutual"] + t["lautum"] + t["cross_marginal"] - t["cross_conditional"],
     "explicit",
-    dominated=(),  # its hypotheses need the marginal: _marginal_rows checks them
 )
 # the Gibbs family is its own tilt: the cross terms are log 1 at every atom
 _GIBBS_MARGINAL = _MARGINAL._replace(
@@ -193,10 +196,10 @@ _GIBBS_MARGINAL = _MARGINAL._replace(
 )
 
 
-def _direct(h_rows: np.ndarray, p1: _Rows, p2: _Rows, weights) -> float:
-    """``sum_k weights[k] * (E_{p1}[h_k] - E_{p2}[h_k])``.  An expectation past the largest
-    float raises :class:`NonFiniteValue`, and a row's gap past it :class:`NonFiniteExpectation`."""
-    means = _mean_rows(h_rows, p1.mass), _mean_rows(h_rows, p2.mass)
+def _direct(means, weights) -> float:
+    """``sum_k weights[k] * (means[0][k] - means[1][k])``, the rows' expectations under ``p1`` and
+    ``p2``.  An expectation past the largest float raises :class:`NonFiniteValue`, and a row's gap
+    past it :class:`NonFiniteExpectation`."""
     if not all(map(math.isfinite, means[0] + means[1])):
         raise NonFiniteValue("expectation overflows a float")
     rows = [a - b for a, b in zip(*means)]
@@ -215,50 +218,67 @@ def _outcome(make: Callable, *args):
         return e.with_traceback(None)
 
 
-def _decompose(identity, h, rows, weights, lams, laws, messages):
+def _decompose(identity, h, rows, weights, lams, laws, checks, error=NotAbsolutelyContinuous):
     """The row kernel: at each tilt of ``lams``, the terms and gap of ``identity``, reduced
     with ``weights``, or the error raised at that tilt.
 
-    Each law holds a row per entry of ``rows`` or one for all; ``messages``
-    names the dominated laws.  The inputs are checked, every law's Y-support before any
-    continuity, and the direct value and the terms that do not name ``gibbs`` summed, once,
-    before the first tilt; ``h``'s rows are read by :func:`_at`.  The law named by
-    ``identity.reference`` is tilted only if a term names ``gibbs``, so an identity that names
-    none is one pass at all its tilts.
+    Each law is a :class:`~gibbsgap.measures._Stack` of a row per entry of ``rows``, or a
+    :class:`~gibbsgap.measures._Rows` of one row for all; ``checks`` are the ``(p, q,
+    message)`` of the laws ``p`` that must be absolutely continuous w.r.t. ``q``, ``error``
+    otherwise.  Every law's Y-support is checked first.  Then the rows are read in one pass,
+    in blocks of :func:`~gibbsgap.measures._blocks`: each block derives its laws' log atoms and
+    atom masses, from whichever views they hold, checks their continuity, and sums per row the
+    expectations of the direct value, the terms that do not name ``gibbs`` and, tilt by tilt,
+    those that do, before the next block is read.  ``h``'s rows are read by :func:`_at`.  The
+    law named by ``identity.reference`` is tilted only if a term names ``gibbs``.
 
-    The tilts come in blocks: a single row at all its tilts in one block, the tilts stacked as
-    rows; more rows one tilt per block, so that only one tilt's rows are held at once.  Each
-    Gibbs term is summed over every row of a block, a row whose tilt raised included, whose
-    sums are dropped; tilt ``j`` of a block is its every ``len(block)``-th row from ``j``, and
-    its error that of its first row that raised.  The block's log atoms are freed before the
-    next block is tilted.
+    A single row is tilted at as many tilts at once as a block holds, the tilts stacked as
+    rows; a block of more rows one tilt at a time.  Each Gibbs term is summed over every row
+    of a tilt block, a row whose tilt raised included, whose sums are dropped; tilt ``j`` of a
+    block is its every ``len(block)``-th row from ``j``.  The rows' sums are then reduced, in
+    row order: the first row that fails names the error, of continuity or at a tilt.
     """
-    ref = laws[identity.reference]
     _require_supports(h, laws)
-    _require_continuity(rows, *((laws[p], ref, m) for p, m in zip(identity.dominated, messages)))
-    h_rows = _at(h.values, rows)
-    direct = _outcome(_direct, h_rows, laws["p1"], laws["p2"], weights)
-    fixed = {name: _average(weights, _kl_rows(laws[a].mass, laws[b].log, laws[c].log))
-             for name, (a, b, c) in identity.terms.items() if "gibbs" not in (b, c)}
-    tilting = len(fixed) < len(identity.terms)
+    terms, n_t = identity.terms, len(lams)
+    tilted = [name for name in terms if "gibbs" in terms[name]]
+    tilt_blocks = ([range(n_t)[b] for b in _blocks(n_t, h.values.shape[1])] if len(rows) == 1
+                   else [range(t, t + 1) for t in range(n_t)])
+    sums = {name: [[] for _ in lams] if name in tilted else [] for name in terms}
+    means, k_vals = ([], []), [[] for _ in lams]
+    for s in _blocks(len(rows), h.values.shape[1]):
+        block = {name: law.at(s) for name, law in laws.items()}
+        _require_continuity(rows[s], *((block[p], block[q], m) for p, q, m in checks), error=error)
+        h_rows = _at(h.values, rows, s)
+        means[0].extend(_mean_rows(h_rows, block["p1"].mass))
+        means[1].extend(_mean_rows(h_rows, block["p2"].mass))
+        for name, (a, b, c) in terms.items():
+            if name not in tilted:
+                sums[name] += _kl_rows(block[a].mass, block[b].log, block[c].log)
+        for ts in tilt_blocks if tilted else ():
+            log_g, k = _gibbs_tilts(h_rows, block[identity.reference], lams[ts.start:ts.stop])
+            block["gibbs"] = _Rows(None, log_g, None)
+            for name in tilted:
+                a, b, c = terms[name]
+                values = _kl_rows(block[a].mass, block[b].log, block[c].log)
+                for j, t in enumerate(ts):
+                    sums[name][t] += values[j::len(ts)]
+            for j, t in enumerate(ts):
+                k_vals[t] += k[j::len(ts)]
+            del log_g, block["gibbs"]  # before the next tilt block
+        del block, h_rows  # before the next block of rows
+    direct = _outcome(_direct, means, weights)
+    fixed = {name: _average(weights, sums[name]) for name in terms if name not in tilted}
     out: list = []
-    for block in [range(len(lams))] if len(rows) == 1 else [[t] for t in range(len(lams))]:
-        if tilting:
-            log_g, k_vals = _gibbs_tilts(h_rows, ref, [lams[t] for t in block])
-            tilted = {**laws, "gibbs": _Rows(None, log_g, None)}
-            sums = {name: _kl_rows(tilted[a].mass, tilted[b].log, tilted[c].log)
-                    for name, (a, b, c) in identity.terms.items() if name not in fixed}
-            del log_g, tilted  # before the next block is tilted
-        for j, t in enumerate(block):
-            tilt = _outcome(_one_tilt, k_vals[j::len(block)]) if tilting else None
-            failed = [e for e in (tilt, direct) if isinstance(e, GibbsGapError)]
-            if failed:
-                out.append(failed[0])
-                continue
-            terms = {name: fixed[name] if name in fixed else
-                     _average(weights, sums[name][j::len(block)]) for name in identity.terms}
-            closed_form = identity.lam_gap(terms) / lams[t]
-            out.append(_outcome(GapDecomposition, direct, closed_form, terms, lams[t], identity.tag))
+    for t, lam in enumerate(lams):
+        tilt = _outcome(_one_tilt, k_vals[t]) if tilted else None
+        failed = [e for e in (tilt, direct) if isinstance(e, GibbsGapError)]
+        if failed:
+            out.append(failed[0])
+            continue
+        values = {name: fixed[name] if name in fixed else _average(weights, sums[name][t])
+                  for name in terms}
+        out.append(_outcome(GapDecomposition, direct, identity.lam_gap(values) / lam, values, lam,
+                            identity.tag))
     return out
 
 
@@ -278,12 +298,14 @@ def _require_continuity(rows, *checks, error=NotAbsolutelyContinuous) -> None:
         raise error(checks[int(np.argmax(fails[:, row]))][2].format(k=rows[row]))
 
 
-def _relative(direction: str) -> tuple[_Identity, list[str]]:
-    """The identity with ``p2`` (``"P2-ref"``) or ``p1`` (``"P1-ref"``) as the reference."""
+def _relative(direction: str) -> tuple[_Identity, list]:
+    """The identity with ``p2`` (``"P2-ref"``) or ``p1`` (``"P1-ref"``) as the reference, and the
+    continuity check of the other law."""
     if direction not in _RELATIVE:
         raise ValueError(f"direction must be 'P2-ref' or 'P1-ref', got {direction!r}")
     rel = _RELATIVE[direction]
-    return rel, [f"{direction} direction requires {rel.dominated[0]} << {rel.reference}"]
+    other = "p1" if rel.reference == "p2" else "p2"
+    return rel, [(other, rel.reference, f"{direction} direction requires {other} << {rel.reference}")]
 
 
 def _point(h: CostTable, x_index: int, p1: Measure, p2: Measure, needs: str) -> list[int]:
@@ -316,7 +338,7 @@ def gap_direct(h: CostTable, x_index: int, p1: Measure, p2: Measure) -> float:
     """
     rows = _point(h, x_index, p1, p2, "expectation requires a probability measure")
     h.require_matches(p1)
-    return _direct(h.values[rows], _row(p1), _row(p2), [1.0])
+    return _direct([_mean_rows(h.values[rows], _row(p).mass) for p in (p1, p2)], [1.0])
 
 
 def gap_closed_form(
@@ -339,8 +361,8 @@ def _common_gap(h, x_index, p1, p2, q, lams, identity=_COMMON) -> list:
     """:func:`gap_closed_form` at every tilt of ``lams``, tagged as ``identity`` is."""
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
     laws = {"p1": _row(p1), "p2": _row(p2), "ref": _row(q)}
-    messages = [f"{p} is not absolutely continuous w.r.t. the reference" for p in ("p1", "p2")]
-    return _decompose(identity, h, rows, [1.0], lams, laws, messages)
+    checks = [(p, "ref", f"{p} is not absolutely continuous w.r.t. the reference") for p in ("p1", "p2")]
+    return _decompose(identity, h, rows, [1.0], lams, laws, checks)
 
 
 def gap_closed_form_relative(
@@ -367,9 +389,9 @@ def gap_closed_form_relative(
 def _relative_gap(h, x_index, p1, p2, direction, lams) -> list:
     """:func:`gap_closed_form_relative` at every tilt of ``lams``."""
     rows = _point(h, x_index, p1, p2, "kl(p, q) requires p to be a probability")
-    identity, messages = _relative(direction)
+    identity, checks = _relative(direction)
     laws = {"p1": _row(p1), "p2": _row(p2)}
-    return _decompose(identity, h, rows, [1.0], lams, laws, messages)
+    return _decompose(identity, h, rows, [1.0], lams, laws, checks)
 
 
 def gap_mixture_reference(
@@ -405,10 +427,10 @@ def expected_gap_direct(
     p_x: FiniteMeasure,
 ) -> float:
     """``sum_x p_x(x) * gap_direct(h, x, cond1[x], cond2[x])``."""
-    live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
+    live, weights, laws = _aligned(h, p_x, cond1, cond2)
     require_same_representation(cond1[live[0]], cond2[live[0]])
     h.require_matches(cond1[live[0]])
-    return _direct(_at(h.values, live), p1, p2, weights)
+    return _direct([_mean_rows(_at(h.values, live), p.at(slice(None)).mass) for p in laws], weights)
 
 
 def expected_gap_closed_form(
@@ -433,8 +455,9 @@ def _expected_common(h, cond1, cond2, p_x, q, lams) -> list:
     """:func:`expected_gap_closed_form` at every tilt of ``lams``."""
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     laws = {"p1": p1, "p2": p2, "ref": _row(q)}
-    messages = [f"cond{c} member {{k}} is not absolutely continuous w.r.t. q" for c in (1, 2)]
-    return _decompose(_COMMON, h, live, weights, lams, laws, messages)
+    checks = [(f"p{c}", "ref", f"cond{c} member {{k}} is not absolutely continuous w.r.t. q")
+              for c in (1, 2)]
+    return _decompose(_COMMON, h, live, weights, lams, laws, checks)
 
 
 def expected_gap_relative(
@@ -456,10 +479,10 @@ def expected_gap_relative(
 
 def _expected_relative(h, cond1, cond2, p_x, direction, lams) -> list:
     """:func:`expected_gap_relative` at every tilt of ``lams``."""
-    identity, messages = _relative(direction)
+    identity, checks = _relative(direction)
     live, weights, (p1, p2) = _aligned(h, p_x, cond1, cond2)
     require_same_representation(cond1[live[0]], cond2[live[0]])
-    return _decompose(identity, h, live, weights, lams, {"p1": p1, "p2": p2}, messages)
+    return _decompose(identity, h, live, weights, lams, {"p1": p1, "p2": p2}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +498,22 @@ def _marginal(h, cond, p_x, q, lams) -> list:
 
 def _marginal_rows(h, live, weights, members, p_x, q, lams, identity) -> list:
     """The marginal gap by ``identity`` of the family rows ``members`` at the points ``live`` of
-    ``p_x``, which weighs them by ``weights``; the Y-marginal mixes those rows alone."""
+    ``p_x``, which weighs them by ``weights``; the Y-marginal mixes those rows alone.  Each
+    member's continuity w.r.t. ``q`` is checked, a block of rows at a time, before the
+    marginal is built."""
     laws = {"p2": members, "ref": _row(q)}
     _require_supports(h, laws)
-    _require_continuity(
-        live, (laws["p2"], laws["ref"], "family member {k} is not absolutely continuous w.r.t. q")
-    )
+    members = laws["p2"] = _once(members)
+    for s in _blocks(len(live), h.values.shape[1]):
+        _require_continuity(live[s], (_Rows(members.domain, members.logs(s), None), laws["ref"],
+                                      "family member {k} is not absolutely continuous w.r.t. q"))
     if not p_x.is_probability:
         raise NonProbabilityMeasure("the X-marginal must be a probability measure")
     # dominates every member it mixes in
-    laws["p1"] = _row(_mixture(members.domain, members.log, _at(p_x.log_density, live)))
+    laws["p1"] = _row(_mixture(members, _at(p_x.log_density, live)))
     mutual = "family member {k} and the marginal are not mutually absolutely continuous"
-    _require_continuity(live, (laws["p1"], laws["p2"], mutual), error=MutualContinuityViolated)
-    return _decompose(identity, h, live, weights, lams, laws, [])
+    return _decompose(identity, h, live, weights, lams, laws, [("p1", "p2", mutual)],
+                      MutualContinuityViolated)
 
 
 def marginal_gap(
@@ -540,10 +566,13 @@ def _gibbs_marginal(h, q, lams, p_x) -> list:
 
 def _gibbs_marginal_at(h, q, lam, p_x) -> GapDecomposition:
     """The gap of ``q``'s Gibbs family at ``lam`` at the points carrying X-mass, the cost rows
-    there read in place if every point does: its rows are the log atoms the tilt built, and
-    their masses are derived from the one array their ``exp`` writes."""
+    there read in place if every point does: its rows are log atoms, tilted a block of rows at
+    a time into one matrix, the first row whose tilt raises raising, and the kernel derives
+    their masses a block at a time."""
     live, weights, _ = _live_rows(p_x)
-    log_gibbs, k_vals = _gibbs_tilts(_at(h.values, live), _row(q), [lam])
-    _one_tilt(k_vals)
-    members = _Rows(q.domain, log_gibbs, _atom_masses(np.exp(log_gibbs), q.domain))
+    ref, log_gibbs = _row(q), np.empty((len(live), h.values.shape[1]))
+    for s in _blocks(len(live), log_gibbs.shape[1]):
+        log_gibbs[s], k_vals = _gibbs_tilts(_at(h.values, live, s), ref, [lam])
+        _one_tilt(k_vals)
+    members = _Stack(q.domain, log_gibbs, None, range(len(live)))
     return _one_tilt(_marginal_rows(h, live, weights, members, p_x, q, [lam], _GIBBS_MARGINAL))

@@ -191,6 +191,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: The two views of the atoms of a measure or family, as :class:`_Atoms` names them.
+_VIEWS = ("log_density", "_density")
+
+
 class _Atoms:
     """Two views of the atoms of a measure, or of each row of a family: weights
     (``_density``) and log atoms.  One is kept as given, the other derived once, in
@@ -425,7 +429,9 @@ class ConditionalFamily(_Atoms):
     row ``k`` is the law at point ``k`` of ``x_points`` (point data, or a
     :class:`PointSupport` to share).  The given ``members``, probability
     measures on one Y-support, are stacked.  ``family[k]`` and ``members``
-    derive row measures only when asked; each is a view of its row.
+    derive row measures only when asked; each holds views of its row of the
+    views the family holds, so a view the family does not hold is derived
+    for that row alone.
     """
 
     x_points: PointSupport
@@ -455,7 +461,8 @@ class ConditionalFamily(_Atoms):
 
     def __getitem__(self, k: int) -> Measure:
         k = range(self.n_x)[k]
-        return _derived(self.domain, True, log_density=self.log_density[k], _density=self._density[k])
+        views = self.__dict__  # the views held: none is derived here
+        return _derived(self.domain, True, **{name: views[name][k] for name in _VIEWS if name in views})
 
     members = property(lambda self: tuple(self[k] for k in range(self.n_x)))
 
@@ -561,6 +568,20 @@ def _average(weights, rows) -> float:
     return math.fsum(w * v for w, v in zip(weights, rows))
 
 
+#: The most floats of any one matrix that a kernel reading a stack of rows in blocks holds: a
+#: block is as many rows as fit, or one row if a row is wider.
+_BLOCK = 2**15
+
+
+def _blocks(n: int, width: int) -> Sequence[slice]:
+    """``range(n)`` in blocks of as many items of ``width`` floats as :data:`_BLOCK` holds, one
+    at least."""
+    if n * width <= _BLOCK:
+        return (slice(None),)
+    step = max(1, _BLOCK // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 class _Rows(NamedTuple):
     """Measures on one support stacked one per row: log atoms and atom masses."""
 
@@ -568,25 +589,68 @@ class _Rows(NamedTuple):
     log: np.ndarray
     mass: Optional[np.ndarray]
 
+    def at(self, s: slice) -> _Rows:
+        """A stack of one row, which every block of rows reads whole."""
+        return self
+
+
+class _Stack(NamedTuple):
+    """The rows ``rows`` of a matrix of measures on one support, in the views that its owner
+    holds: log atoms, densities or both, None where not held.  Read a block at a time."""
+
+    domain: Union[PointSupport, GridSupport]
+    log: Optional[np.ndarray]
+    density: Optional[np.ndarray]
+    rows: Sequence[int]
+
+    def logs(self, s: slice) -> np.ndarray:
+        """The log atoms of ``rows[s]``, derived for them alone if not held."""
+        if self.log is not None:
+            return _at(self.log, self.rows, s)
+        with np.errstate(divide="ignore"):
+            return np.log(_at(self.density, self.rows, s))
+
+    def at(self, s: slice) -> _Rows:
+        """``rows[s]`` as log atoms and atom masses, each derived for them alone if not held."""
+        log = self.logs(s)
+        density = np.exp(log) if self.density is None else _at(self.density, self.rows, s)
+        return _Rows(self.domain, log, _atom_masses(density, self.domain))
+
 
 def _row(p: Measure) -> _Rows:
     """``p`` as a stack of one row."""
     return _Rows(p.domain, p.log_density[None], atom_masses(p)[None])
 
 
-def _at(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The ascending, distinct ``rows`` of ``a``: ``a`` itself, read in place, if they are all."""
-    return a if len(rows) == len(a) else a[rows]
+def _at(a: np.ndarray, rows, s: slice = slice(None)) -> np.ndarray:
+    """``a[rows[s]]``, ``rows`` ascending and distinct: ``a[s]``, read in place, if they are all
+    of ``a``'s rows."""
+    return a[s] if len(rows) == len(a) else a[rows[s]]
+
+
+def _stack(atoms: _Atoms, rows) -> _Stack:
+    """The rows ``rows`` of the family ``atoms``, in the views it holds: none is derived here."""
+    return _Stack(atoms.domain, *map(atoms.__dict__.get, _VIEWS), rows)
+
+
+def _once(stack: _Stack) -> _Stack:
+    """``stack``, or, if its rows fit one block, those rows alone in both views, the view not
+    held derived now, so that the passes of a kernel that reads them more than once derive it
+    once."""
+    both = stack.log is not None and stack.density is not None
+    if both or len(stack.rows) * stack.domain.n_atoms > _BLOCK:
+        return stack
+    log = stack.logs(slice(None))
+    density = np.exp(log) if stack.density is None else _at(stack.density, stack.rows)
+    return _Stack(stack.domain, log, density, range(len(log)))
 
 
 def _live_rows(p_x: FiniteMeasure, *families: ConditionalFamily):
-    """The points carrying X-mass, their weights and each family's rows there, in place if all do."""
+    """The points carrying X-mass, their weights and each family's rows there."""
     for cond in families:
         require_aligned(p_x, cond)
     live = np.flatnonzero(p_x.weights > 0)
-    rows = [_Rows(c.domain, _at(c.log_density, live),
-                  _atom_masses(_at(c._density, live), c.domain)) for c in families]
-    return live, _at(p_x.weights, live), rows
+    return live, _at(p_x.weights, live), [_stack(c, live) for c in families]
 
 
 def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
@@ -602,15 +666,40 @@ def marginal_y(cond: ConditionalFamily, p_x: FiniteMeasure) -> Measure:
     if not p_x.is_probability:
         raise NonProbabilityMeasure("the X-marginal must be a probability measure")
     require_aligned(p_x, cond)
-    return _mixture(cond.domain, cond.log_density, p_x.log_density)
+    return _mixture(_stack(cond, np.arange(cond.n_x)), p_x.log_density)
 
 
-def _mixture(domain, log_rows: np.ndarray, log_w: np.ndarray) -> Measure:
-    """The probability ``sum_k exp(log_w[k]) * rows[k]`` on ``domain``, from the log atoms of its
-    rows: a row of weight 0 adds nothing, bit for bit, so only the rows of positive weight may
-    be given."""
-    mixed = _logsumexp(log_rows + log_w[:, None], axis=0)
-    return _derived(domain, True, log_density=_freeze(mixed))
+def _mixture(rows: _Stack, log_w: np.ndarray) -> Measure:
+    """The probability ``sum_k exp(log_w[k]) * rows[k]`` on the support of ``rows``, from their
+    log atoms: a row of weight 0 adds nothing, bit for bit, so only the rows of positive weight
+    may be given.
+
+    The max-shifted :func:`_logsumexp` of each column, in two passes over blocks of the rows:
+    the first takes each column's largest exponent, the second sums the shifted exponentials,
+    each block's first row adding the sum of the blocks before.  NumPy sums a matrix of two or
+    more columns down its rows in order, so the sum holds the bits of the sum of one matrix; it
+    sums a single column pairwise, so a support of one atom is one block.
+    """
+    width = rows.domain.n_atoms
+    blocks = _blocks(len(log_w), width) if width > 1 else (slice(None),)
+    shift = None
+    for s in blocks:
+        a = rows.logs(s) + log_w[s, None]
+        top = a.max(axis=0)
+        shift = top if shift is None else np.maximum(shift, top, out=shift)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    total = None
+    with np.errstate(over="ignore", divide="ignore"):  # as in _logsumexp
+        for s in blocks:
+            if len(blocks) > 1:  # one block's exponents are still held
+                a = rows.logs(s) + log_w[s, None]
+            a -= shift
+            np.exp(a, out=a)
+            if total is not None:
+                a[0] += total
+            total = a.sum(axis=0)
+        mixed = np.log(total) + shift
+    return _derived(rows.domain, True, log_density=_read_only(mixed))
 
 
 def mix(p: Measure, q: Measure, alpha: float) -> Measure:

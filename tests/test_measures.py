@@ -37,7 +37,7 @@ from gibbsgap import (
     total_mass,
     variational_oracle,
 )
-from gibbsgap.measures import GridSupport, _live_rows, _sum_rows
+from gibbsgap.measures import GridSupport, _family, _live_rows, _sum_rows
 
 PTS = [[0.0], [1.0]]
 
@@ -500,16 +500,24 @@ def test_live_rows_are_the_rows_of_the_points_with_x_mass_bit_for_bit(data, n_x,
     p_x = make_finite_measure(x_points, data.draw(
         st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n_x, max_size=n_x)
         .filter(lambda w: sum(w) > 0)), normalize=True)
-    live, weights, rows = _live_rows(p_x, *families)
+    # the second family again, holding only its weights and only its log atoms
+    f2 = families[1]
+    families += [_family(f2.x_points, f2.domain, _density=f2._density),
+                 _family(f2.x_points, f2.domain, log_density=f2.log_density)]
+    live, weights, stacks = _live_rows(p_x, *families)
     expected = np.flatnonzero(p_x.weights > 0)
     assert live.tolist() == expected.tolist()
     assert weights.tobytes() == p_x.weights[expected].tobytes()
-    for c, r in zip(families, rows, strict=True):
-        assert r.log.tobytes() == c.log_density[expected].tobytes()
-        assert r.mass.tobytes() == (c._density[expected] * c.domain.base_mass).tobytes()
-        if expected.size == n_x:  # read in place
-            assert r.log is c.log_density
-            assert np.shares_memory(r.mass, c._density) == (c.domain.base_mass == 1.0)
+    # each stack holds the views its family held when it was made; the family's other view
+    # is derived below, for the expected bits, after that
+    for c, stack in zip(families, stacks, strict=True):
+        for s in [slice(None), *(slice(k, k + 1) for k in range(expected.size))]:
+            r = stack.at(s)  # a block of rows, a view not held derived for it alone
+            assert r.log.tobytes() == c.log_density[expected[s]].tobytes()
+            assert r.mass.tobytes() == (c._density[expected[s]] * c.domain.base_mass).tobytes()
+            if expected.size == n_x and stack is stacks[0]:  # read in place
+                assert np.shares_memory(r.log, c.log_density)
+                assert np.shares_memory(r.mass, c._density) == (c.domain.base_mass == 1.0)
 
 
 def test_grid_type_roundtrip():

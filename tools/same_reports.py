@@ -14,6 +14,12 @@ and in text, on a fixed input set (and on each ``FILE`` given):
   loader's first chunk, so that line ends and the decoding message cross chunk
   boundaries;
 * ``invalid.json``, a document that is not JSON (``INVALID``);
+* ``blocks.json`` (``_blocks_doc``), a 5 x 8193 point scenario whose rows the gap
+  kernel reads three to a block: point 2 carries no X-mass, so the four rows that do
+  split 3 + 1 and point 4 is the last block.  There, family ``f2``'s member is the only
+  one with mass where the reference has none, and the cost holds ``1e10``, so the tilt
+  ``-1e300`` overflows and raises ``InfiniteLogPartition`` for that row alone.  Its ten
+  checks compare which row and which error each op names;
 * through a pipe, as ``verify /dev/stdin``, so that the loader takes the path of a stream
   that cannot seek: the ``wide-finite`` file at seed 911, its CRLF and bad-byte copies,
   and ``invalid.json``;
@@ -57,6 +63,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -78,6 +85,43 @@ DROP = "<drop>"
 INVALID = '{"schema": 1, "name": "x",, }'  # a doubled comma
 GRID = {**POINTS, "y_support": DROP, "y_grid": {"lo": 0.0, "hi": 2.0, "n_cells": 2},
         "reference": "lebesgue"}
+
+
+def _blocks_doc() -> dict:
+    """The ``blocks.json`` document: see the module docstring."""
+    rng = random.Random(30)
+    n_x, n_y = 5, 8193  # 3 rows of 8193 floats fit a block of 2**15, 4 do not
+
+    def row():
+        return [rng.uniform(0.05, 1.0) for _ in range(n_y)]
+
+    reference = row()
+    reference[100] = 0.0
+    families = {"f1": [row() for _ in range(n_x)], "f2": [row() for _ in range(n_x)]}
+    for rows in families.values():
+        for r in rows:
+            r[100] = 0.0
+    families["f2"][4][100] = 0.5
+    cost = [[rng.uniform(-1.0, 1.0) for _ in range(n_y)] for _ in range(n_x)]
+    cost[4][7] = 1e10
+    pair = {"p1": "f1", "p2": "f2"}
+    return {
+        "schema": 1, "name": "blocks", "y_support": [[float(j)] for j in range(n_y)],
+        "x_points": [[float(k)] for k in range(n_x)], "cost": cost, "reference": reference,
+        "lambdas": [0.5, -1e300, -2.0], "p_x": [0.3, 0.2, 0.0, 0.4, 0.1], "families": families,
+        "pairs": [
+            {"op": "gap_closed_form", "x_index": 4, **pair},
+            {"op": "gap_closed_form_relative", "x_index": 4, **pair, "direction": "P2-ref"},
+            {"op": "gap_mixture_reference", "x_index": 1, **pair, "alpha": 0.25},
+            {"op": "expected_gap_closed_form", "family1": "f1", "family2": "f2"},
+            {"op": "expected_gap_closed_form", "family1": "f1", "family2": "f1"},
+            {"op": "expected_gap_relative", "family1": "f2", "family2": "f1"},
+            {"op": "marginal_gap", "family": "f1"},
+            {"op": "marginal_gap", "family": "f2"},
+            {"op": "gibbs_marginal_gap"},
+            {"op": "free_energy_identities", "x_index": 4},
+        ],
+    }
 
 
 def _check(**fields) -> dict:
@@ -280,9 +324,11 @@ def main(argv: list[str]) -> int:
                   *_workload_files(tmp / "workloads"), *_fault_files(tmp / "faults")]
         wide, invalid = tmp / "workloads" / "wide-finite-911.json", tmp / "invalid.json"
         invalid.write_text(INVALID)
+        blocks = tmp / "blocks.json"
+        blocks.write_text(json.dumps(_blocks_doc()))
         piped = [wide, *_text_files(wide, tmp), invalid]
         generated, differ = _generated(srcs, tmp)
-        inputs = list(dict.fromkeys([*inputs, *piped, *generated,
+        inputs = list(dict.fromkeys([*inputs, blocks, *piped, *generated,
                                      *(Path(a).resolve() for a in argv[1:])]))
         runs = [(path, False) for path in inputs] + [(path, True) for path in piped]
         for path, pipe in runs:
