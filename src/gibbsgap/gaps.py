@@ -88,7 +88,6 @@ from .measures import (
     _live_rows,
     _mean_rows,
     _mixture,
-    _once,
     _row,
     _Rows,
     _Stack,
@@ -503,7 +502,6 @@ def _marginal_rows(h, live, weights, members, p_x, q, lams, identity) -> list:
     marginal is built."""
     laws = {"p2": members, "ref": _row(q)}
     _require_supports(h, laws)
-    members = laws["p2"] = _once(members)
     for s in _blocks(len(live), h.values.shape[1]):
         _require_continuity(live[s], (_Rows(members.domain, members.logs(s), None), laws["ref"],
                                       "family member {k} is not absolutely continuous w.r.t. q"))

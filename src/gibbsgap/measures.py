@@ -576,8 +576,6 @@ _BLOCK = 2**15
 def _blocks(n: int, width: int) -> Sequence[slice]:
     """``range(n)`` in blocks of as many items of ``width`` floats as :data:`_BLOCK` holds, one
     at least."""
-    if n * width <= _BLOCK:
-        return (slice(None),)
     step = max(1, _BLOCK // width)
     return [slice(i, i + step) for i in range(0, n, step)]
 
@@ -633,18 +631,6 @@ def _stack(atoms: _Atoms, rows) -> _Stack:
     return _Stack(atoms.domain, *map(atoms.__dict__.get, _VIEWS), rows)
 
 
-def _once(stack: _Stack) -> _Stack:
-    """``stack``, or, if its rows fit one block, those rows alone in both views, the view not
-    held derived now, so that the passes of a kernel that reads them more than once derive it
-    once."""
-    both = stack.log is not None and stack.density is not None
-    if both or len(stack.rows) * stack.domain.n_atoms > _BLOCK:
-        return stack
-    log = stack.logs(slice(None))
-    density = np.exp(log) if stack.density is None else _at(stack.density, stack.rows)
-    return _Stack(stack.domain, log, density, range(len(log)))
-
-
 def _live_rows(p_x: FiniteMeasure, *families: ConditionalFamily):
     """The points carrying X-mass, their weights and each family's rows there."""
     for cond in families:
@@ -681,22 +667,17 @@ def _mixture(rows: _Stack, log_w: np.ndarray) -> Measure:
     sums a single column pairwise, so a support of one atom is one block.
     """
     width = rows.domain.n_atoms
-    blocks = _blocks(len(log_w), width) if width > 1 else (slice(None),)
-    shift = None
+    blocks = _blocks(len(log_w), width) if width > 1 else [slice(None)]
+    shift, total = np.full(width, -math.inf), np.zeros(width)
     for s in blocks:
-        a = rows.logs(s) + log_w[s, None]
-        top = a.max(axis=0)
-        shift = top if shift is None else np.maximum(shift, top, out=shift)
+        np.maximum(shift, (rows.logs(s) + log_w[s, None]).max(axis=0), out=shift)
     np.copyto(shift, 0.0, where=~np.isfinite(shift))
-    total = None
     with np.errstate(over="ignore", divide="ignore"):  # as in _logsumexp
         for s in blocks:
-            if len(blocks) > 1:  # one block's exponents are still held
-                a = rows.logs(s) + log_w[s, None]
+            a = rows.logs(s) + log_w[s, None]
             a -= shift
             np.exp(a, out=a)
-            if total is not None:
-                a[0] += total
+            a[0] += total  # exp is never -0.0, so the first block's zeros change no bit
             total = a.sum(axis=0)
         mixed = np.log(total) + shift
     return _derived(rows.domain, True, log_density=_read_only(mixed))

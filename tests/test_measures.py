@@ -508,16 +508,18 @@ def test_live_rows_are_the_rows_of_the_points_with_x_mass_bit_for_bit(data, n_x,
     expected = np.flatnonzero(p_x.weights > 0)
     assert live.tolist() == expected.tolist()
     assert weights.tobytes() == p_x.weights[expected].tobytes()
-    # each stack holds the views its family held when it was made; the family's other view
-    # is derived below, for the expected bits, after that
-    for c, stack in zip(families, stacks, strict=True):
+    # each stack holds the views its family held when it was made (log atoms, weights); the
+    # family's other view is derived below, for the expected bits, after that
+    held = [(True, True), (True, True), (False, True), (True, False)]
+    for c, stack, (log, density) in zip(families, stacks, held, strict=True):
+        assert (stack.log is not None, stack.density is not None) == (log, density)
         for s in [slice(None), *(slice(k, k + 1) for k in range(expected.size))]:
             r = stack.at(s)  # a block of rows, a view not held derived for it alone
             assert r.log.tobytes() == c.log_density[expected[s]].tobytes()
             assert r.mass.tobytes() == (c._density[expected[s]] * c.domain.base_mass).tobytes()
-            if expected.size == n_x and stack is stacks[0]:  # read in place
-                assert np.shares_memory(r.log, c.log_density)
-                assert np.shares_memory(r.mass, c._density) == (c.domain.base_mass == 1.0)
+            if expected.size == n_x:  # each view held read in place
+                assert np.shares_memory(r.log, c.log_density) == log
+                assert np.shares_memory(r.mass, c._density) == (density and c.domain.base_mass == 1.0)
 
 
 def test_grid_type_roundtrip():
